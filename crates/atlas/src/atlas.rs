@@ -15,7 +15,7 @@
 
 use revtr_aliasing::AliasResolver;
 use revtr_netsim::Addr;
-use revtr_probing::{Prober, StopSet};
+use revtr_probing::{Prober, StopSet, TaskCtx};
 use std::collections::HashMap;
 
 /// Where an address intersects the atlas.
@@ -77,7 +77,8 @@ impl SourceAtlas {
         probes: &[Addr],
         rr_atlas: bool,
     ) -> SourceAtlas {
-        SourceAtlas::build_with_discovery(prober, source, probes, rr_atlas, None)
+        let ctx = &mut TaskCtx::default();
+        SourceAtlas::build_with_discovery(prober, ctx, source, probes, rr_atlas, None)
     }
 
     /// [`SourceAtlas::build`] with an optional campaign forward-discovery
@@ -85,9 +86,10 @@ impl SourceAtlas {
     /// there before probing and recorded after, so interfaces shared by
     /// many atlas traces are RR-pinged once per campaign instead of once
     /// per trace. Indexing (alias anchoring) still runs per trace — only
-    /// the probe itself is deduplicated.
+    /// the probe itself is deduplicated. Every probe is charged to `ctx`.
     pub fn build_with_discovery(
         prober: &Prober<'_>,
+        ctx: &mut TaskCtx,
         source: Addr,
         probes: &[Addr],
         rr_atlas: bool,
@@ -100,14 +102,14 @@ impl SourceAtlas {
             rr_atlas_enabled: rr_atlas,
         };
         for &vp in probes {
-            atlas.add_trace_with_discovery(prober, vp, rr_atlas, discovery);
+            atlas.add_trace_with_discovery(prober, ctx, vp, rr_atlas, discovery);
         }
         atlas
     }
 
     /// Measure one more traceroute from `vp` and index it.
     pub fn add_trace(&mut self, prober: &Prober<'_>, vp: Addr, rr_atlas: bool) {
-        self.add_trace_with_discovery(prober, vp, rr_atlas, None);
+        self.add_trace_with_discovery(prober, &mut TaskCtx::default(), vp, rr_atlas, None);
     }
 
     /// [`SourceAtlas::add_trace`], consulting a forward-discovery set for
@@ -115,11 +117,12 @@ impl SourceAtlas {
     pub fn add_trace_with_discovery(
         &mut self,
         prober: &Prober<'_>,
+        ctx: &mut TaskCtx,
         vp: Addr,
         rr_atlas: bool,
         discovery: Option<&StopSet>,
     ) {
-        let Some(t) = prober.traceroute_fresh(vp, self.source) else {
+        let Some(t) = prober.traceroute_fresh(ctx, vp, self.source) else {
             return;
         };
         if !t.reached {
@@ -139,7 +142,7 @@ impl SourceAtlas {
             hops,
             at_hours: prober.sim().now_hours(),
         });
-        self.index_trace(prober, idx, rr_atlas, discovery);
+        self.index_trace(prober, ctx, idx, rr_atlas, discovery);
     }
 
     fn insert(&mut self, addr: Addr, inter: Intersection, prio: Priority) {
@@ -157,6 +160,7 @@ impl SourceAtlas {
     fn index_trace(
         &mut self,
         prober: &Prober<'_>,
+        ctx: &mut TaskCtx,
         idx: usize,
         rr_atlas: bool,
         discovery: Option<&StopSet>,
@@ -188,12 +192,12 @@ impl SourceAtlas {
                 Some(d) => match d.forward(self.source, a) {
                     Some(cached) => cached,
                     None => {
-                        let fresh = prober.atlas_rr_ping(self.source, self.source, a);
+                        let fresh = prober.atlas_rr_ping(ctx, self.source, self.source, a);
                         d.forward_insert(self.source, a, fresh.clone());
                         fresh
                     }
                 },
-                None => prober.atlas_rr_ping(self.source, self.source, a),
+                None => prober.atlas_rr_ping(ctx, self.source, self.source, a),
             };
             let Some(reply) = reply else {
                 continue;

@@ -1,6 +1,6 @@
 //! Parallel scaling of the measurement engine and its concurrency
 //! primitives: the campaign loop at 1/2/4/8 workers over one shared
-//! system (striped caches, single-flight route fills, per-thread clock),
+//! system (striped caches, single-flight route fills, the shared clock),
 //! plus micro-benches of the primitives themselves under contention.
 //!
 //! Wall-clock scaling is hardware-dependent — on a single-core container
@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use revtr::EngineConfig;
 use revtr_bench::BenchEnv;
 use revtr_netsim::{Sim, SimConfig, StripedMap};
-use revtr_probing::{Clock, Prober};
+use revtr_probing::{Clock, Prober, TaskCtx};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -123,8 +123,8 @@ fn bench_striped_map_reads(c: &mut Criterion) {
     g.finish();
 }
 
-/// The per-probe clock charge under contention: per-thread padded slots
-/// mean no shared cache line on this path.
+/// The per-probe clock charge under contention: every thread CAS-adds
+/// into the clock's one shared total, and into its own task's ctx.
 fn bench_clock_advance(c: &mut Criterion) {
     let sim = Sim::build(SimConfig::tiny(), 1);
     let clock = Clock::new();
@@ -139,8 +139,9 @@ fn bench_clock_advance(c: &mut Criterion) {
                     std::thread::scope(|scope| {
                         for _ in 0..workers {
                             scope.spawn(|| {
+                                let mut ctx = TaskCtx::default();
                                 for _ in 0..per_thread {
-                                    clock.advance(0.125, &sim);
+                                    clock.advance(0.125, &sim, &mut ctx);
                                 }
                             });
                         }
@@ -159,8 +160,9 @@ fn bench_counter_bumps(c: &mut Criterion) {
     let prober = Prober::new(&sim);
     let vp = sim.topo().vp_sites[0].host;
     let dst = sim.topo().vp_sites[1].host;
+    let mut ctx = TaskCtx::default();
     c.bench_function("probe_ping_hot_path", |b| {
-        b.iter(|| black_box(prober.ping(vp, dst)))
+        b.iter(|| black_box(prober.ping(&mut ctx, vp, dst)))
     });
 }
 

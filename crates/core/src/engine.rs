@@ -20,11 +20,11 @@
 //! ([`RevtrSystem::measure`]) whenever cross-request coupling (route
 //! churn) is disabled — the property the metamorphic suite pins.
 //!
-//! Per-task attribution across a shared OS thread uses the clock's and
-//! counters' *shadow swap*: the loop swaps each task's private shadow
-//! accumulators in around `step`, so `thread_ms`/`thread_snapshot` diffs
-//! taken inside a measurement see exactly the same addends, in the same
-//! order, as a dedicated thread would — bitwise.
+//! Each control block owns a [`TaskCtx`]: its own virtual time and probe
+//! counts, which every probe it sends charges beside the shared clock and
+//! counters. Durations, probe counts, span offsets and stop-set stamps are
+//! read from it, so they hold exactly the task's own addends, in its own
+//! order — bitwise the same under any schedule, worker count or thread.
 
 use crate::config::SymmetryPolicy;
 use crate::result::{
@@ -34,45 +34,33 @@ use crate::result::{
 use crate::system::{novel, RevtrSystem, RrFound, RrHints, RrMachine, RrProgress, StageStart};
 use revtr_atlas::SourceAtlas;
 use revtr_netsim::{Addr, PrefixId};
-use revtr_probing::{Contribution, Note, RequestScope, Snapshot, StoredRr};
+use revtr_probing::{Contribution, Note, RequestScope, StoredRr, TaskCtx};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
-
-/// How the event loop forms its dispatch rounds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// Fill a round: drain up to `quantum` due events in deadline order
-    /// before consulting the queue again (the throughput-oriented
-    /// policy; `quantum` plays the role the worker count used to).
-    FillFirst,
-    /// Deadline-first: always dispatch only the single earliest event
-    /// (the latency-oriented policy; equivalent to `FillFirst` with
-    /// `quantum = 1`).
-    DeadlineFirst,
-}
 
 /// Event-loop tuning. Campaign *results* are invariant to these knobs
 /// (the metamorphic suite asserts it); only the dispatch schedule — and
 /// under enabled route churn, the churn-flush interleaving — changes.
 #[derive(Clone, Copy, Debug)]
 pub struct LoopConfig {
-    /// Events dispatched per round under [`BatchPolicy::FillFirst`].
+    /// Events dispatched per round on the serial loop: up to `quantum`
+    /// due events are drained in deadline order before the queue is
+    /// consulted again (`1` is pure deadline-first dispatch).
     pub quantum: usize,
-    /// Round-formation policy.
-    pub policy: BatchPolicy,
     /// Dispatch workers. `1` (the default) runs the loop fully serial
-    /// with `quantum`/`policy` round formation — the reproducible
-    /// schedule the metrics goldens pin. More workers switch to a
-    /// work-conserving earliest-deadline-first pool: each scoped thread
-    /// pops the globally earliest event and steps it, so `quantum` and
-    /// `policy` are moot and the realized interleaving is OS-dependent —
-    /// but campaign *results* are bit-identical to the serial loop's,
-    /// because per-request shadow attribution and the striped caches'
-    /// single-flight fills make a measurement's outcome independent of
-    /// its neighbours' scheduling (the invariance the old
-    /// thread-per-batch engine's w1==w8 gate proved, pinned again by the
-    /// metamorphic suite's dispatch-workers arm).
+    /// with `quantum` round formation — the reproducible schedule the
+    /// metrics goldens pin. More workers switch to a work-conserving
+    /// earliest-deadline-first pool: each scoped thread pops the globally
+    /// earliest event and steps it, so `quantum` is moot and the realized
+    /// interleaving is OS-dependent — but campaign *results* are
+    /// bit-identical to the serial loop's, because per-task [`TaskCtx`]
+    /// attribution and the striped caches' single-flight fills make a
+    /// measurement's outcome independent of its neighbours' scheduling
+    /// (the invariance the old thread-per-batch engine's w1==w8 gate
+    /// proved, pinned again by the metamorphic suite's dispatch-workers
+    /// arm).
     pub workers: usize,
 }
 
@@ -80,7 +68,6 @@ impl Default for LoopConfig {
     fn default() -> LoopConfig {
         LoopConfig {
             quantum: 8,
-            policy: BatchPolicy::FillFirst,
             workers: 1,
         }
     }
@@ -95,7 +82,6 @@ impl LoopConfig {
     pub fn parallel() -> LoopConfig {
         LoopConfig {
             quantum: 64,
-            policy: BatchPolicy::FillFirst,
             workers: 8,
         }
     }
@@ -125,7 +111,8 @@ pub struct TimedJob {
     /// Registered source the path is stitched toward.
     pub src: Addr,
     /// Virtual arrival time in milliseconds since campaign start: the
-    /// control block's first ready time and its shadow-clock origin.
+    /// control block's first ready time and where its [`TaskCtx`] clock
+    /// starts.
     pub arrival_ms: f64,
     /// Campaign-unique request id (stop-set contribution stamp and heap
     /// tie-break); callers use the global arrival index.
@@ -213,8 +200,11 @@ pub(crate) struct MeasureTask {
     src_prefix: Option<PrefixId>,
     atlas: Option<Arc<SourceAtlas>>,
     req: Option<RequestScope>,
-    t0_thread_ms: f64,
-    snap0: Snapshot,
+    /// The task's own virtual time and probe counts (also its ready-time
+    /// key in the event loop's priority queue).
+    pub(crate) ctx: TaskCtx,
+    /// `ctx.ms` when the measurement started.
+    t0_ms: f64,
     stats: RevtrStats,
     trace: StitchTrace,
     hops: Vec<RevtrHop>,
@@ -239,11 +229,6 @@ pub(crate) struct MeasureTask {
     /// `RrMachine::usable_seen`) — a ladder that did must not be
     /// published as futile even when it revealed nothing novel here.
     rr_ladder_usable: bool,
-    /// Private virtual-time shadow, swapped in around each step (also the
-    /// task's ready-time key in the event loop's priority queue).
-    pub(crate) shadow_ms: f64,
-    /// Private probe-counter shadow, swapped in around each step.
-    pub(crate) shadow_snap: Snapshot,
     /// Degradation-ladder level assigned at admission (0 = full service;
     /// 1 = spoofed batches capped at one probe; 2+ = cache/stop-set/atlas
     /// evidence only, no new RR probes). Fixed for the task's lifetime —
@@ -261,8 +246,8 @@ impl MeasureTask {
             src_prefix: None,
             atlas: None,
             req: None,
-            t0_thread_ms: 0.0,
-            snap0: Snapshot::default(),
+            ctx: TaskCtx::default(),
+            t0_ms: 0.0,
             stats: RevtrStats::default(),
             trace: StitchTrace::default(),
             hops: Vec::new(),
@@ -275,8 +260,6 @@ impl MeasureTask {
             rr_direct_skipped: false,
             rr_spoof_skipped: false,
             rr_ladder_usable: false,
-            shadow_ms: 0.0,
-            shadow_snap: Snapshot::default(),
             degrade: 0,
         }
     }
@@ -285,11 +268,10 @@ impl MeasureTask {
     /// time and `(request id, sequence)` — a pure function of the task's
     /// measurement history, so merge order is schedule-invariant.
     fn contribute(&mut self, sys: &RevtrSystem<'_>, note: Note) {
-        let vtime = sys.prober().clock().thread_ms();
         let seq = self.cseq;
         self.cseq += 1;
         sys.stopset().contribute(Contribution {
-            vtime,
+            vtime: self.ctx.ms,
             req: self.id as u64,
             seq,
             note,
@@ -299,10 +281,10 @@ impl MeasureTask {
     /// Advance the measurement by one stage (or one spoofed-batch round).
     /// Returns the finished result, or `None` when the block yielded.
     pub(crate) fn step(&mut self, sys: &RevtrSystem<'_>) -> Option<RevtrResult> {
-        // One loop event per step, charged to the thread shadow before any
-        // stage span opens so every stage's cost delta includes it. A pure
+        // One loop event per step, charged to the task before any stage
+        // span opens so every stage's cost delta includes it. A pure
         // function of the task schedule — identical at any worker count.
-        sys.prober().counters().add_events(1);
+        sys.prober().counters().add_events(1, &mut self.ctx);
         match std::mem::replace(&mut self.phase, Phase::Done) {
             Phase::Start => self.start(sys),
             Phase::StitchLoop => self.stitch_head(sys),
@@ -320,16 +302,14 @@ impl MeasureTask {
         }
     }
 
-    /// Seal the result: durations and probe deltas are diffs of the
-    /// *thread-shadow* accumulators around the measurement, so they
-    /// attribute exactly this task's own charges under any scheduling.
+    /// Seal the result: the duration and probe counts come from the
+    /// task's own ctx, so they attribute exactly this task's charges under
+    /// any scheduling.
     fn finish(&mut self, sys: &RevtrSystem<'_>, status: Status) -> RevtrResult {
-        let prober = sys.prober();
-        self.stats.duration_s = (prober.clock().thread_ms() - self.t0_thread_ms) / 1000.0;
-        self.stats.probes =
-            ProbeDelta::from_snapshot(&prober.counters().thread_snapshot().since(&self.snap0));
+        self.stats.duration_s = (self.ctx.ms - self.t0_ms) / 1000.0;
+        self.stats.probes = ProbeDelta::from_snapshot(&self.ctx.probes);
         if let Some(req) = self.req.as_mut() {
-            req.finish(status.label(), prober.clock().thread_ms());
+            req.finish(status.label(), self.ctx.ms);
         }
         let mut r = RevtrResult {
             dst: self.dst,
@@ -344,26 +324,26 @@ impl MeasureTask {
     }
 
     fn start(&mut self, sys: &RevtrSystem<'_>) -> Option<RevtrResult> {
-        let atlas = sys.atlas(self.src);
+        let atlas = sys.task_atlas(&mut self.ctx, self.src);
         let prober = sys.prober();
-        self.t0_thread_ms = prober.clock().thread_ms();
-        // Thread-shadow snapshot: the loop swaps this task's private
-        // shadow in around each step, so the diff at finish attributes
-        // exactly its own probes even with 50k concurrent measurements.
-        self.snap0 = prober.counters().thread_snapshot();
+        self.t0_ms = self.ctx.ms;
         self.src_prefix = sys.sim().host_prefix(self.src);
         // Telemetry request scope (inert unless the prober carries an
         // enabled handle). The origin is this task's virtual time, so
         // span offsets are invariant to concurrent measurements' advances.
-        let mut req =
-            prober
-                .telemetry()
-                .request(self.dst.0, self.src.0, prober.clock().thread_ms());
+        let mut req = prober
+            .telemetry()
+            .request(self.dst.0, self.src.0, self.ctx.ms);
 
         // The destination must answer something.
-        let st = sys.stage_enter(&mut req, "destination_probe");
-        let answered = prober.ping(self.src, self.dst).is_some();
-        sys.stage_exit(&mut req, st, &[("answered", u64::from(answered))]);
+        let st = sys.stage_enter(&mut req, &self.ctx, "destination_probe");
+        let answered = prober.ping(&mut self.ctx, self.src, self.dst).is_some();
+        sys.stage_exit(
+            &mut req,
+            &self.ctx,
+            st,
+            &[("answered", u64::from(answered))],
+        );
         self.req = Some(req);
         self.atlas = Some(atlas);
         if !answered {
@@ -396,7 +376,7 @@ impl MeasureTask {
 
         // 1. Atlas intersection.
         let atlas = self.atlas.clone().expect("atlas resolved in Start");
-        let atlas_span = sys.stage_enter(self.req_mut(), "atlas_intersection");
+        let atlas_span = self.enter(sys, "atlas_intersection");
         if let Some(inter) = sys
             .lookup_intersection(self.src, &atlas, self.cur)
             .filter(|i| {
@@ -452,15 +432,11 @@ impl MeasureTask {
                 });
             }
             let atlas_hops = u64::from(self.stats.atlas_hops);
-            sys.stage_exit(
-                self.req_mut(),
-                atlas_span,
-                &[("hit", 1), ("atlas_hops", atlas_hops)],
-            );
+            self.exit(sys, atlas_span, &[("hit", 1), ("atlas_hops", atlas_hops)]);
             self.trace.end = Some(StitchEnd::AtlasSuffix);
             return Some(self.finish(sys, Status::Complete));
         }
-        sys.stage_exit(self.req_mut(), atlas_span, &[("hit", 0)]);
+        self.exit(sys, atlas_span, &[("hit", 0)]);
 
         // 2. Campaign stop sets: reuse an earlier request's reverse-hop
         // evidence at this (source, router) before spending any probes —
@@ -468,11 +444,11 @@ impl MeasureTask {
         // re-filtered against *this* path, and adoption replays the
         // original provenance, exactly like a measurement-cache hit.
         let mut hints = if sys.config().use_stop_sets {
-            let ss = sys.stage_enter(self.req_mut(), "stopset_backward");
+            let ss = self.enter(sys, "stopset_backward");
             let hit = sys.stopset().backward(self.src, self.cur);
             let reused = hit.as_ref().map_or(0, |(s, _)| s.hops.len() as u64);
-            sys.stage_exit(
-                self.req_mut(),
+            self.exit(
+                sys,
                 ss,
                 &[("hit", u64::from(hit.is_some())), ("reused", reused)],
             );
@@ -544,15 +520,7 @@ impl MeasureTask {
         self.rr_ladder_usable = false;
 
         // 3. Record route (direct probe now; spoofed rounds event-driven).
-        let req = self.req.as_mut().expect("request scope opened in Start");
-        match sys.rr_begin(
-            self.cur,
-            self.src,
-            &self.path_set,
-            &mut self.stats,
-            req,
-            hints,
-        ) {
+        match self.rr_begin(sys, self.cur, hints) {
             RrProgress::Done(found) => self.after_primary_rr(sys, found),
             RrProgress::Pending(m) => self.phase = Phase::Rr(m),
         }
@@ -560,8 +528,7 @@ impl MeasureTask {
     }
 
     fn rr_pending(&mut self, sys: &RevtrSystem<'_>, mut m: RrMachine) -> Option<RevtrResult> {
-        let req = self.req.as_mut().expect("request scope opened in Start");
-        match sys.rr_round(&mut m, self.src, &self.path_set, &mut self.stats, req) {
+        match self.rr_round(sys, &mut m) {
             None => self.phase = Phase::Rr(m),
             Some(found) => {
                 self.rr_ladder_usable = m.usable_seen;
@@ -670,19 +637,11 @@ impl MeasureTask {
                 // reconverge within a hop or two.
                 if let Some(first) = f.0.first().copied().filter(|a| !a.is_private()) {
                     let expected = f.0[1];
-                    let vspan = sys.stage_enter(self.req_mut(), "rr_verify");
-                    let req = self.req.as_mut().expect("request scope opened in Start");
+                    let vspan = self.enter(sys, "rr_verify");
                     // The verification re-probe neither consults nor feeds
                     // the stop sets: its whole point is an independent
                     // re-measurement.
-                    match sys.rr_begin(
-                        first,
-                        self.src,
-                        &self.path_set,
-                        &mut self.stats,
-                        req,
-                        RrHints::default(),
-                    ) {
+                    match self.rr_begin(sys, first, RrHints::default()) {
                         RrProgress::Done(v) => {
                             let violated = self.close_verify(sys, v, expected, vspan);
                             self.phase =
@@ -712,8 +671,7 @@ impl MeasureTask {
         expected: Addr,
         mut m: RrMachine,
     ) -> Option<RevtrResult> {
-        let req = self.req.as_mut().expect("request scope opened in Start");
-        match sys.rr_round(&mut m, self.src, &self.path_set, &mut self.stats, req) {
+        match self.rr_round(sys, &mut m) {
             None => {
                 self.phase = Phase::RrVerify {
                     found,
@@ -756,7 +714,7 @@ impl MeasureTask {
             }
         }
         let violation = u64::from(self.stats.dbr_violation_detected);
-        sys.stage_exit(self.req_mut(), vspan, &[("violation", violation)]);
+        self.exit(sys, vspan, &[("violation", violation)]);
         fresh
     }
 
@@ -796,10 +754,10 @@ impl MeasureTask {
     }
 
     fn ts(&mut self, sys: &RevtrSystem<'_>) -> Option<RevtrResult> {
-        let ts_span = sys.stage_enter(self.req_mut(), "ts_step");
-        let adj = sys.ts_step(self.cur, self.src, &self.path_set);
+        let ts_span = self.enter(sys, "ts_step");
+        let adj = sys.ts_step(&mut self.ctx, self.cur, self.src, &self.path_set);
         let found = u64::from(adj.is_some());
-        sys.stage_exit(self.req_mut(), ts_span, &[("found", found)]);
+        self.exit(sys, ts_span, &[("found", found)]);
         if let Some(adj) = adj {
             self.path_set.insert(adj);
             self.trace.entries.push(Evidence::Timestamp {
@@ -820,15 +778,15 @@ impl MeasureTask {
 
     fn symmetry(&mut self, sys: &RevtrSystem<'_>) -> Option<RevtrResult> {
         let policy = sys.config().symmetry;
-        let sym_span = sys.stage_enter(self.req_mut(), "assume_symmetry");
-        let sym = sys.symmetry_step(self.cur, self.src);
+        let sym_span = self.enter(sys, "assume_symmetry");
+        let sym = sys.symmetry_step(&mut self.ctx, self.cur, self.src);
         let adopted = sym.as_ref().is_some_and(|d| {
             !(self.path_set.contains(&d.penult)
                 || d.interdomain && policy == SymmetryPolicy::IntradomainOnly)
         });
         let interdomain = sym.as_ref().map_or(0, |d| u64::from(d.interdomain));
-        sys.stage_exit(
-            self.req_mut(),
+        self.exit(
+            sys,
             sym_span,
             &[
                 ("adopted", u64::from(adopted)),
@@ -875,8 +833,30 @@ impl MeasureTask {
         None
     }
 
-    fn req_mut(&mut self) -> &mut RequestScope {
-        self.req.as_mut().expect("request scope opened in Start")
+    /// Begin a record-route step against `cur` (see [`RevtrSystem::rr_begin`]).
+    fn rr_begin(&mut self, sys: &RevtrSystem<'_>, cur: Addr, hints: RrHints) -> RrProgress {
+        let req = self.req.as_mut().expect("request scope opened in Start");
+        let (ctx, stats) = (&mut self.ctx, &mut self.stats);
+        sys.rr_begin(ctx, cur, self.src, &self.path_set, stats, req, hints)
+    }
+
+    /// One spoofed-batch round of an RR step (see [`RevtrSystem::rr_round`]).
+    fn rr_round(&mut self, sys: &RevtrSystem<'_>, m: &mut RrMachine) -> Option<Option<RrFound>> {
+        let req = self.req.as_mut().expect("request scope opened in Start");
+        let (ctx, stats) = (&mut self.ctx, &mut self.stats);
+        sys.rr_round(ctx, m, self.src, &self.path_set, stats, req)
+    }
+
+    /// Open a stage span on the task's request scope.
+    fn enter(&mut self, sys: &RevtrSystem<'_>, stage: &'static str) -> StageStart {
+        let req = self.req.as_mut().expect("request scope opened in Start");
+        sys.stage_enter(req, &self.ctx, stage)
+    }
+
+    /// Close a stage span opened by [`MeasureTask::enter`].
+    fn exit(&mut self, sys: &RevtrSystem<'_>, st: StageStart, extra: &[(&'static str, u64)]) {
+        let req = self.req.as_mut().expect("request scope opened in Start");
+        sys.stage_exit(req, &self.ctx, st, extra);
     }
 }
 
@@ -935,9 +915,7 @@ impl<'s> RevtrSystem<'s> {
     /// barrier between waves.
     ///
     /// Results come back in input order. A panicking measurement aborts
-    /// the campaign and surfaces as `Err` with the panic payload (the
-    /// thread-shadow accumulators are restored first, so the system stays
-    /// usable).
+    /// the campaign and surfaces as `Err` with the panic payload.
     pub fn run_campaign(
         &self,
         pairs: &[(Addr, Addr)],
@@ -960,11 +938,6 @@ impl<'s> RevtrSystem<'s> {
         let mut results: Vec<Option<RevtrResult>> = pairs.iter().map(|_| None).collect();
         let inflight_peak = pairs.len().min(wave);
         let mut events: u64 = 0;
-        let round = match lc.policy {
-            BatchPolicy::DeadlineFirst => 1,
-            BatchPolicy::FillFirst => lc.quantum.max(1),
-        };
-        let workers = lc.workers.max(1).min(pairs.len().max(1));
         let mut start = 0;
         let mut wave_ord: u64 = 0;
         while start < pairs.len() {
@@ -978,24 +951,7 @@ impl<'s> RevtrSystem<'s> {
                     })
                 })
                 .collect();
-            if workers > 1 {
-                // Never more dispatch workers than the host has cores:
-                // oversubscribed workers add only scheduler churn and lock
-                // convoys on the shared schedule (a single-core host
-                // measurably loses ~5% wall at 8 workers). The clamp can
-                // land on 1 and still take the pool path — run-to-completion
-                // claiming, not the serial loop's round interleaving — so a
-                // `workers > 1` config keeps its dispatch mode everywhere
-                // and only the thread count adapts to the host.
-                let pool = workers.min(
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1),
-                );
-                self.run_campaign_workers(&mut tasks, &mut results, &mut heap, pool, &mut events)?;
-            } else {
-                self.run_campaign_serial(&mut tasks, &mut results, &mut heap, round, &mut events)?;
-            }
+            self.dispatch(&mut tasks, &mut results, &mut heap, lc, &mut events)?;
             if use_stop {
                 // Wave barrier: fold this wave's buffered contributions
                 // into the published view in (vtime, id, seq) order.
@@ -1019,7 +975,7 @@ impl<'s> RevtrSystem<'s> {
     ///
     /// This is the open-loop entry point: each [`TimedJob`] becomes a
     /// control block whose first event fires at the job's virtual
-    /// **arrival time** instead of zero, and whose shadow clock is
+    /// **arrival time** instead of zero, and whose [`TaskCtx`] clock is
     /// anchored there — so a request admitted at hour 30 sees hour-30
     /// cache ages and its telemetry spans are offset from its own
     /// admission, exactly as if it had arrived at a live service. The
@@ -1032,7 +988,7 @@ impl<'s> RevtrSystem<'s> {
     /// increasing ids — the same total order the arrival generator
     /// emits — so the wave-local schedule reproduces the global one.
     /// Results come back in job order; determinism across `lc.workers`
-    /// follows from the same shadow-swap argument as
+    /// follows from the same per-task ctx argument as
     /// [`RevtrSystem::run_campaign`].
     pub fn run_wave_timed(
         &self,
@@ -1046,17 +1002,12 @@ impl<'s> RevtrSystem<'s> {
                 let mut t = MeasureTask::new(j.dst, j.src);
                 t.id = j.id;
                 t.degrade = j.degrade;
-                t.shadow_ms = j.arrival_ms;
+                t.ctx = TaskCtx::at(j.arrival_ms);
                 Some(t)
             })
             .collect();
         let mut results: Vec<Option<RevtrResult>> = jobs.iter().map(|_| None).collect();
         let mut events: u64 = 0;
-        let round = match lc.policy {
-            BatchPolicy::DeadlineFirst => 1,
-            BatchPolicy::FillFirst => lc.quantum.max(1),
-        };
-        let workers = lc.workers.max(1).min(jobs.len().max(1));
         let mut heap: BinaryHeap<Reverse<EventKey>> = jobs
             .iter()
             .enumerate()
@@ -1068,16 +1019,7 @@ impl<'s> RevtrSystem<'s> {
                 })
             })
             .collect();
-        if workers > 1 {
-            let pool = workers.min(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            );
-            self.run_campaign_workers(&mut tasks, &mut results, &mut heap, pool, &mut events)?;
-        } else {
-            self.run_campaign_serial(&mut tasks, &mut results, &mut heap, round, &mut events)?;
-        }
+        self.dispatch(&mut tasks, &mut results, &mut heap, lc, &mut events)?;
         if use_stop {
             self.stopset().merge_pending();
         }
@@ -1119,8 +1061,34 @@ impl<'s> RevtrSystem<'s> {
         self.snapshot_resources(ord);
     }
 
+    /// Drain one wave's schedule: on the serial loop in rounds of
+    /// `lc.quantum` due events, or on a worker pool when `lc.workers > 1`.
+    fn dispatch(
+        &self,
+        tasks: &mut [Option<MeasureTask>],
+        results: &mut [Option<RevtrResult>],
+        heap: &mut BinaryHeap<Reverse<EventKey>>,
+        lc: LoopConfig,
+        events: &mut u64,
+    ) -> std::thread::Result<()> {
+        let workers = lc.workers.max(1).min(tasks.len().max(1));
+        if workers == 1 {
+            return self.run_campaign_serial(tasks, results, heap, lc.quantum.max(1), events);
+        }
+        // Never more dispatch workers than the host has cores:
+        // oversubscribed workers add only scheduler churn and lock convoys
+        // on the shared schedule (a single-core host measurably loses ~5%
+        // wall at 8 workers). The clamp can land on 1 and still take the
+        // pool path — run-to-completion claiming, not the serial loop's
+        // round interleaving — so a `workers > 1` config keeps its
+        // dispatch mode everywhere and only the thread count adapts to the
+        // host.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.run_campaign_workers(tasks, results, heap, workers.min(cores), events)
+    }
+
     /// The serial dispatch path: drain the wave's schedule in rounds of
-    /// `round` due events (the `quantum`/`policy` shape).
+    /// `round` due events (the `quantum` shape).
     fn run_campaign_serial(
         &self,
         tasks: &mut [Option<MeasureTask>],
@@ -1132,11 +1100,10 @@ impl<'s> RevtrSystem<'s> {
         let mut due: Vec<EventKey> = Vec::with_capacity(round);
         while let Some(Reverse(ev)) = heap.pop() {
             // Form the round: the earliest event plus up to `round - 1`
-            // more, in deadline order. Under FillFirst a block stepped
-            // early in the round is not reconsidered until the next
-            // round even if its new ready-time precedes the round's
-            // remaining events — that is the policy difference, and the
-            // metamorphic suite proves results don't depend on it.
+            // more, in deadline order. A block stepped early in the round
+            // is not reconsidered until the next round even if its new
+            // ready-time precedes the round's remaining events — and the
+            // metamorphic suite proves results don't depend on `round`.
             due.clear();
             due.push(ev);
             while due.len() < round {
@@ -1148,14 +1115,14 @@ impl<'s> RevtrSystem<'s> {
             for ev in due.drain(..) {
                 *events += 1;
                 let task = tasks[ev.id].as_mut().expect("pending task exists");
-                match self.step_task(task)? {
+                match catch_unwind(AssertUnwindSafe(|| task.step(self)))? {
                     Some(r) => {
                         results[ev.id] = Some(r);
                         tasks[ev.id] = None;
                     }
                     None => {
                         heap.push(Reverse(EventKey {
-                            vtime: task.shadow_ms,
+                            vtime: task.ctx.ms,
                             id: ev.id,
                             seq: ev.seq + 1,
                         }));
@@ -1173,13 +1140,13 @@ impl<'s> RevtrSystem<'s> {
     /// time — so interleaving a block's steps with its neighbours' buys
     /// nothing on wall-clock and was measured to cost ~15% in lost cache
     /// locality; running the steps consecutively keeps the block hot
-    /// while per-task shadow clocks still start every measurement at
-    /// virtual zero (which is what keeps cache entries from expiring
-    /// under late thread-clock times, the old pool's hidden recompute
-    /// tax). The realized cross-block interleaving is OS-dependent;
-    /// campaign *results* are not — the metamorphic suite pins parallel
-    /// output bit-identical to the serial loop's, the same invariance
-    /// the old engine's w1==w8 gate proved.
+    /// while each task's ctx clock still starts at its own origin (which
+    /// is what keeps cache entries from expiring under late thread-clock
+    /// times, the old pool's hidden recompute tax). The realized
+    /// cross-block interleaving is OS-dependent; campaign *results* are
+    /// not — the metamorphic suite pins parallel output bit-identical to
+    /// the serial loop's, the same invariance the old engine's w1==w8
+    /// gate proved.
     fn run_campaign_workers(
         &self,
         tasks: &mut [Option<MeasureTask>],
@@ -1239,44 +1206,17 @@ impl<'s> RevtrSystem<'s> {
         }
     }
 
-    /// One scheduled step of a control block, with the task's private
-    /// shadow accumulators swapped in around it. The swap-back is
-    /// unconditional — on a panic the loop thread's own shadows are
-    /// restored before the payload propagates.
-    fn step_task(&self, task: &mut MeasureTask) -> std::thread::Result<Option<RevtrResult>> {
-        let clock = self.prober().clock();
-        let counters = self.prober().counters();
-        let saved_ms = clock.swap_thread_ms(task.shadow_ms);
-        let saved_snap = counters.swap_thread_snapshot(task.shadow_snap);
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.step(self)));
-        task.shadow_ms = clock.swap_thread_ms(saved_ms);
-        task.shadow_snap = counters.swap_thread_snapshot(saved_snap);
-        out
-    }
-
     /// Run one claimed control block's steps back-to-back to completion —
-    /// the parallel path's unit of work — with the shadow accumulators
-    /// swapped in *once* around the whole burst. No other block touches
-    /// this thread's shadows mid-burst, so the per-step swap pairs the
-    /// interleaving serial loop needs would cancel exactly; hoisting them
-    /// (and the panic fence) preserves attribution addend-for-addend
-    /// while shaving four thread-local map operations off every step.
-    /// Returns the step count alongside the outcome; the swap-back is
-    /// unconditional, as in [`RevtrSystem::step_task`].
+    /// the parallel path's unit of work. Returns the step count alongside
+    /// the outcome; a panic comes back as `Err` with its payload.
     fn burst_task(&self, task: &mut MeasureTask) -> (u64, std::thread::Result<RevtrResult>) {
-        let clock = self.prober().clock();
-        let counters = self.prober().counters();
-        let saved_ms = clock.swap_thread_ms(task.shadow_ms);
-        let saved_snap = counters.swap_thread_snapshot(task.shadow_snap);
         let mut steps = 0u64;
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
+        let out = catch_unwind(AssertUnwindSafe(|| loop {
             steps += 1;
             if let Some(r) = task.step(self) {
                 return r;
             }
         }));
-        task.shadow_ms = clock.swap_thread_ms(saved_ms);
-        task.shadow_snap = counters.swap_thread_snapshot(saved_snap);
         (steps, out)
     }
 }

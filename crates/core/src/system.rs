@@ -23,7 +23,7 @@ use revtr_atlas::{Intersection, SourceAtlas};
 use revtr_netsim::hash::mix3;
 use revtr_netsim::{Addr, AsId, PrefixId, Sim};
 use revtr_probing::{
-    ProbeLoss, Prober, RequestScope, RrProvenance, Snapshot, SpanCost, SpanToken, StopSet,
+    ProbeLoss, Prober, RequestScope, RrProvenance, Snapshot, SpanCost, SpanToken, StopSet, TaskCtx,
 };
 use revtr_vpselect::{IngressDb, IngressQueue};
 use std::collections::{HashMap, HashSet};
@@ -84,12 +84,11 @@ const HARDENED_STALL_BUDGET: u32 = 6;
 /// probe-bloat the raised hardened budget would cause.
 const QUARANTINED_STALL_BUDGET: u32 = 1;
 
-/// An open telemetry stage: the span token plus the thread-local probe
-/// snapshot at entry, so the exit can attach this stage's exact probe
-/// delta (per-thread, hence worker-count-invariant). Stage spans are held
-/// across event-loop yields inside a measurement's control block; the
-/// loop's shadow swap keeps the entry snapshot consistent with whatever
-/// the task accumulates later.
+/// An open telemetry stage: the span token plus the task's probe counts
+/// at entry, so the exit can attach this stage's exact probe delta (read
+/// from the task's own [`TaskCtx`], hence worker-count-invariant). Stage
+/// spans are held across event-loop yields inside a measurement's control
+/// block, which owns the ctx the entry snapshot was taken from.
 pub(crate) struct StageStart {
     tok: Option<SpanToken>,
     snap: Snapshot,
@@ -401,12 +400,19 @@ impl<'s> RevtrSystem<'s> {
     /// atlas (and RR-atlas, per config). This is the source bootstrap of
     /// Appx. A (~15 virtual minutes of measurement).
     pub fn register_source(&self, src: Addr) {
+        self.register_source_for(&mut TaskCtx::default(), src);
+    }
+
+    /// [`RevtrSystem::register_source`], charging the bootstrap's probes
+    /// and virtual time to `ctx`.
+    fn register_source_for(&self, ctx: &mut TaskCtx, src: Addr) {
         if self.atlases.read().contains_key(&src) {
             return;
         }
         let probes = self.pick_atlas_probes(src, &[]);
         let atlas = Arc::new(SourceAtlas::build_with_discovery(
             &self.prober,
+            ctx,
             src,
             &probes,
             self.cfg.use_rr_atlas,
@@ -443,6 +449,7 @@ impl<'s> RevtrSystem<'s> {
         }
         let atlas = Arc::new(SourceAtlas::build_with_discovery(
             &self.prober,
+            &mut TaskCtx::default(),
             src,
             &probes,
             self.cfg.use_rr_atlas,
@@ -457,10 +464,17 @@ impl<'s> RevtrSystem<'s> {
 
     /// The current atlas for a source (auto-registers on first use).
     pub fn atlas(&self, src: Addr) -> Arc<SourceAtlas> {
+        self.task_atlas(&mut TaskCtx::default(), src)
+    }
+
+    /// [`RevtrSystem::atlas`] for a measurement task: an auto-registration
+    /// is charged to the task's `ctx`, so the task waits out the bootstrap
+    /// in virtual time before its first probe.
+    pub(crate) fn task_atlas(&self, ctx: &mut TaskCtx, src: Addr) -> Arc<SourceAtlas> {
         if let Some(a) = self.atlases.read().get(&src) {
             return a.clone();
         }
-        self.register_source(src);
+        self.register_source_for(ctx, src);
         self.atlases
             .read()
             .get(&src)
@@ -718,33 +732,35 @@ impl<'s> RevtrSystem<'s> {
     /// Open a telemetry stage span (no-op on an inactive scope — the
     /// timestamp and probe snapshot are not even computed then, keeping
     /// the disabled path free).
-    pub(crate) fn stage_enter(&self, req: &mut RequestScope, stage: &'static str) -> StageStart {
+    pub(crate) fn stage_enter(
+        &self,
+        req: &mut RequestScope,
+        ctx: &TaskCtx,
+        stage: &'static str,
+    ) -> StageStart {
         if !req.active() {
-            return StageStart {
-                tok: None,
-                snap: Snapshot::default(),
-            };
+            return StageStart::empty();
         }
-        let tok = req.enter(stage, self.prober.clock().thread_ms());
         StageStart {
-            tok,
-            snap: self.prober.counters().thread_snapshot(),
+            tok: req.enter(stage, ctx.ms),
+            snap: ctx.probes,
         }
     }
 
-    /// Close a telemetry stage span, attaching this thread's probe delta
+    /// Close a telemetry stage span, attaching the task's probe delta
     /// (option probes, packets, retries, fault losses) plus any
     /// stage-specific fields.
     pub(crate) fn stage_exit(
         &self,
         req: &mut RequestScope,
+        ctx: &TaskCtx,
         st: StageStart,
         extra: &[(&'static str, u64)],
     ) {
         if st.tok.is_none() {
             return;
         }
-        let d = self.prober.counters().thread_snapshot().since(&st.snap);
+        let d = ctx.probes.since(&st.snap);
         let mut fields = vec![
             ("probes", d.option_probes()),
             ("pkts", d.all_packets()),
@@ -757,7 +773,7 @@ impl<'s> RevtrSystem<'s> {
             cache_bytes: d.cache_bytes,
             probe_bytes: d.probe_bytes(),
         };
-        req.exit_costed(st.tok, self.prober.clock().thread_ms(), &fields, cost);
+        req.exit_costed(st.tok, ctx.ms, &fields, cost);
     }
 
     /// Begin a record-route step against `cur`: open the `rr_step` span,
@@ -770,8 +786,12 @@ impl<'s> RevtrSystem<'s> {
     /// the caller drives via [`RevtrSystem::rr_round`] — each round is one
     /// spoofed batch, i.e. one virtual 10 s collection timeout, which is
     /// exactly the event-loop yield point.
+    // Each argument is one piece of the task's state the step reads or
+    // charges; bundling them would only rename the control block.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn rr_begin(
         &self,
+        ctx: &mut TaskCtx,
         cur: Addr,
         src: Addr,
         path_set: &HashSet<Addr>,
@@ -779,36 +799,37 @@ impl<'s> RevtrSystem<'s> {
         req: &mut RequestScope,
         hints: RrHints,
     ) -> RrProgress {
-        let st = self.stage_enter(req, "rr_step");
+        let st = self.stage_enter(req, ctx, "rr_step");
 
         // Direct (non-spoofed) RR ping from the source — skipped when an
         // earlier request proved it futile on this ingress plan.
         if !hints.skip_direct {
-            let direct = self.stage_enter(req, "rr_direct");
-            if let Ok((reply, prov)) = self.prober.rr_ping_observed(src, cur) {
+            let direct = self.stage_enter(req, ctx, "rr_direct");
+            if let Ok((reply, prov)) = self.prober.rr_ping_observed(ctx, src, cur) {
                 if let Some(rev) = Self::extract_reverse(&reply.slots, cur) {
                     let rev = self.harden_rr_filter(rev, &prov);
                     let new = novel(path_set, &rev);
                     if !new.is_empty() {
-                        self.stage_exit(req, direct, &[("hit", 1)]);
-                        return RrProgress::Done(self.rr_close(req, st, Some((new, prov, false))));
+                        self.stage_exit(req, ctx, direct, &[("hit", 1)]);
+                        let found = Some((new, prov, false));
+                        return RrProgress::Done(self.rr_close(req, ctx, st, found));
                     }
                 }
             }
-            self.stage_exit(req, direct, &[("hit", 0)]);
+            self.stage_exit(req, ctx, direct, &[("hit", 0)]);
         }
 
         // A futility hint ends the step before the ladder even forms: an
         // earlier request exhausted this plan's full ladder without any
         // evidence, so the step falls through to the next technique.
         if hints.skip_spoofed {
-            return RrProgress::Done(self.rr_close(req, st, None));
+            return RrProgress::Done(self.rr_close(req, ctx, st, None));
         }
 
         // Spoofed batches from the VP plan. Queues can legitimately be
         // empty (an ingress with no in-range VPs): they must be excluded
         // up front or the batch composer would index past the end.
-        let spoof_span = self.stage_enter(req, "rr_spoofed");
+        let spoof_span = self.stage_enter(req, ctx, "rr_spoofed");
         let batches0 = stats.batches;
         let mut full = self.vp_queues(cur);
         // Deprioritize (never drop) VPs earlier ladders proved futile on
@@ -858,10 +879,11 @@ impl<'s> RevtrSystem<'s> {
         if active.is_empty() {
             self.stage_exit(
                 req,
+                ctx,
                 spoof_span,
                 &[("hit", 0), ("batches", u64::from(stats.batches - batches0))],
             );
-            return RrProgress::Done(self.rr_close(req, st, None));
+            return RrProgress::Done(self.rr_close(req, ctx, st, None));
         }
         // Snapshot the spoof-quarantine set once per ladder: rounds
         // consult it to withhold stall re-batches from VPs whose pairs
@@ -894,6 +916,7 @@ impl<'s> RevtrSystem<'s> {
     fn rr_close(
         &self,
         req: &mut RequestScope,
+        ctx: &TaskCtx,
         st: StageStart,
         out: Option<RrFound>,
     ) -> Option<RrFound> {
@@ -901,7 +924,12 @@ impl<'s> RevtrSystem<'s> {
             Some((v, _, sp)) => (v.len() as u64, u64::from(*sp)),
             None => (0, 0),
         };
-        self.stage_exit(req, st, &[("revealed", revealed), ("spoofed", spoofed)]);
+        self.stage_exit(
+            req,
+            ctx,
+            st,
+            &[("revealed", revealed), ("spoofed", spoofed)],
+        );
         out
     }
 
@@ -912,6 +940,7 @@ impl<'s> RevtrSystem<'s> {
     /// of the old blocking loop.
     pub(crate) fn rr_round(
         &self,
+        ctx: &mut TaskCtx,
         m: &mut RrMachine,
         src: Addr,
         path_set: &HashSet<Addr>,
@@ -930,7 +959,7 @@ impl<'s> RevtrSystem<'s> {
         // drop instead of repeating one verdict forever (request-local
         // state: worker-count-invariant).
         let bases: Vec<u32> = batch.iter().map(|&(qi, _)| m.stalls[qi]).collect();
-        let replies = self.prober.spoofed_rr_batch_at(&pairs, src, &bases);
+        let replies = self.prober.spoofed_rr_batch_at(ctx, &pairs, src, &bases);
         if self.cfg.harden {
             // One quarantine outcome per *pair*, not per re-batch: a
             // landing resolves the pair as alive the round it happens;
@@ -982,6 +1011,7 @@ impl<'s> RevtrSystem<'s> {
             let spoof_span = std::mem::replace(&mut m.spoof_span, StageStart::empty());
             self.stage_exit(
                 req,
+                ctx,
                 spoof_span,
                 &[
                     ("hit", 1),
@@ -989,7 +1019,7 @@ impl<'s> RevtrSystem<'s> {
                 ],
             );
             let st = std::mem::replace(&mut m.st, StageStart::empty());
-            return Some(self.rr_close(req, st, Some((best, prov, true))));
+            return Some(self.rr_close(req, ctx, st, Some((best, prov, true))));
         }
         // Nothing came back. A queue whose probe was *transiently* lost
         // (fault-attributed, budget exhausted) keeps its current VP for a
@@ -1046,6 +1076,7 @@ impl<'s> RevtrSystem<'s> {
             let spoof_span = std::mem::replace(&mut m.spoof_span, StageStart::empty());
             self.stage_exit(
                 req,
+                ctx,
                 spoof_span,
                 &[
                     ("hit", 0),
@@ -1053,14 +1084,20 @@ impl<'s> RevtrSystem<'s> {
                 ],
             );
             let st = std::mem::replace(&mut m.st, StageStart::empty());
-            return Some(self.rr_close(req, st, None));
+            return Some(self.rr_close(req, ctx, st, None));
         }
         None
     }
 
     /// The timestamp step (revtr 1.0 only): test traceroute-derived
     /// adjacencies of `cur` with TS-prespec probes.
-    pub(crate) fn ts_step(&self, cur: Addr, src: Addr, path_set: &HashSet<Addr>) -> Option<Addr> {
+    pub(crate) fn ts_step(
+        &self,
+        ctx: &mut TaskCtx,
+        cur: Addr,
+        src: Addr,
+        path_set: &HashSet<Addr>,
+    ) -> Option<Addr> {
         let adj_db = self.adjacencies();
         let extra = self.extra_adjacency.read();
         let mut cands: Vec<Addr> = Vec::new();
@@ -1075,7 +1112,7 @@ impl<'s> RevtrSystem<'s> {
         cands.retain(|a| !path_set.contains(a));
         cands.truncate(self.cfg.max_ts_adjacencies);
         for adj in cands {
-            match self.prober.ts_ping_outcome(src, cur, &[cur, adj]) {
+            match self.prober.ts_ping_outcome(ctx, src, cur, &[cur, adj]) {
                 // Persistent: the destination ignores TS, stop trying.
                 Err(ProbeLoss::Unanswered) => return None,
                 // Transient: the probe was lost beyond its retry budget —
@@ -1088,9 +1125,9 @@ impl<'s> RevtrSystem<'s> {
                     // retry once spoofed from the closest vantage point (the
                     // forward path may have consumed the stamp order).
                     if let Some(vp) = self.closest_vp(cur) {
-                        let replies = self
-                            .prober
-                            .spoofed_ts_batch(&[(vp, cur, vec![cur, adj])], src);
+                        let replies =
+                            self.prober
+                                .spoofed_ts_batch(ctx, &[(vp, cur, vec![cur, adj])], src);
                         if let Some(Some(r2)) = replies.into_iter().next() {
                             if r2.filled >= 2 {
                                 return Some(adj);
@@ -1136,8 +1173,13 @@ impl<'s> RevtrSystem<'s> {
     /// The symmetry step (Q5): traceroute to `cur`, take the penultimate
     /// hop, and decide by link locality. The full decision inputs are
     /// returned so they can be recorded as stitch-trace evidence.
-    pub(crate) fn symmetry_step(&self, cur: Addr, src: Addr) -> Option<SymmetryDecision> {
-        let tr = self.prober.traceroute(src, cur)?;
+    pub(crate) fn symmetry_step(
+        &self,
+        ctx: &mut TaskCtx,
+        cur: Addr,
+        src: Addr,
+    ) -> Option<SymmetryDecision> {
+        let tr = self.prober.traceroute(ctx, src, cur)?;
         // The last responsive hop that is not the destination itself.
         let penult = tr
             .hops
@@ -1167,9 +1209,9 @@ impl<'s> RevtrSystem<'s> {
     /// This is the synchronous driver over the event-driven control block
     /// ([`MeasureTask`]): it steps the same state machine the campaign
     /// event loop schedules, to completion, on the calling thread. The
-    /// prober-call sequence is identical to the historical straight-line
-    /// loop, so results, probe counters, and telemetry spans are
-    /// unchanged.
+    /// task starts with a fresh [`TaskCtx`] at virtual zero, so its
+    /// duration, probe counts and span offsets do not depend on what the
+    /// calling thread measured before.
     pub fn measure(&self, dst: Addr, src: Addr) -> RevtrResult {
         let mut task = MeasureTask::new(dst, src);
         loop {

@@ -15,6 +15,7 @@ use crate::stats::{fraction, Distribution};
 use revtr::{extract_reverse_hops, EngineConfig, RevtrResult};
 use revtr_aliasing::{AliasResolver, Ip2As};
 use revtr_netsim::{Addr, AsId};
+use revtr_probing::TaskCtx;
 use revtr_vpselect::IngressDb;
 use std::sync::Arc;
 
@@ -148,11 +149,12 @@ pub fn run(
     let mut attempted = 0usize;
 
     let probe = ctx.prober(); // direct traceroutes & forward RR calibration
+    let mut task = TaskCtx::default();
 
     for &(dst, src) in workload {
         attempted += 1;
         // Direct traceroute dst → src: the approximate ground truth.
-        let direct = probe.traceroute_fresh(dst, src);
+        let direct = probe.traceroute_fresh(&mut task, dst, src);
         let direct_hops: Vec<Addr> = match &direct {
             Some(t) if t.reached => t.responsive_hops().filter(|&h| h != dst).collect(),
             _ => Vec::new(),
@@ -187,9 +189,10 @@ pub fn run(
 
         // Forward RR calibration: one packet src → dst records the true
         // forward path; compare with a traceroute in the same direction.
-        if let (Some(rr), Some(fwd_tr)) =
-            (probe.rr_ping(src, dst), probe.traceroute_fresh(src, dst))
-        {
+        if let (Some(rr), Some(fwd_tr)) = (
+            probe.rr_ping(&mut task, src, dst),
+            probe.traceroute_fresh(&mut task, src, dst),
+        ) {
             if fwd_tr.reached && extract_reverse_hops(&rr.slots, dst).is_some() {
                 let fwd_slots: Vec<Addr> =
                     rr.slots.iter().copied().take_while(|&s| s != dst).collect();

@@ -21,6 +21,7 @@ use crate::stats::fraction;
 use revtr::EngineConfig;
 use revtr_aliasing::Ip2As;
 use revtr_netsim::AsId;
+use revtr_probing::TaskCtx;
 use revtr_vpselect::IngressDb;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -95,6 +96,7 @@ fn record_path(
 /// Run the Table 3 comparison.
 pub fn run(ctx: &EvalContext, ingress: &Arc<IngressDb>) -> AsGraphReport {
     let prober = ctx.prober();
+    let mut task = TaskCtx::default();
     let sys = ctx.build_system(prober.clone(), EngineConfig::revtr2(), ingress.clone());
     let ip2as = Ip2As::new(&ctx.sim);
     let oracle = ctx.sim.oracle();
@@ -128,7 +130,7 @@ pub fn run(ctx: &EvalContext, ingress: &Arc<IngressDb>) -> AsGraphReport {
             }
 
             // Forward traceroute + assume symmetry.
-            if let Some(t) = prober.traceroute_fresh(src, dst) {
+            if let Some(t) = prober.traceroute_fresh(&mut task, src, dst) {
                 if t.reached {
                     let mut path = ip2as.as_path(t.responsive_hops());
                     path.reverse();
@@ -139,7 +141,7 @@ pub fn run(ctx: &EvalContext, ingress: &Arc<IngressDb>) -> AsGraphReport {
 
         // RIPE-Atlas-style: forward traceroutes from probes to the source.
         for &probe in atlas_probes.iter().take(ctx.scale.atlas_size) {
-            let Some(t) = prober.traceroute_fresh(probe, src) else {
+            let Some(t) = prober.traceroute_fresh(&mut task, probe, src) else {
                 continue;
             };
             if !t.reached {

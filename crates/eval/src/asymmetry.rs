@@ -12,6 +12,7 @@ use crate::stats::{fraction, Distribution};
 use revtr::EngineConfig;
 use revtr_aliasing::{AliasResolver, Ip2As, RelationshipDb};
 use revtr_netsim::{Addr, AsId, AsTier};
+use revtr_probing::TaskCtx;
 use revtr_vpselect::IngressDb;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,6 +62,7 @@ pub fn run(
     workload: &[(Addr, Addr)],
 ) -> AsymmetryReport {
     let prober = ctx.prober();
+    let mut task = TaskCtx::default();
     let sys = ctx.build_system(prober.clone(), EngineConfig::revtr2(), ingress.clone());
     let resolver = AliasResolver::new(&ctx.sim);
     let ip2as = Ip2As::new(&ctx.sim);
@@ -71,7 +73,7 @@ pub fn run(
     let mut asymmetric_pairs = 0usize;
 
     for &(dst, src) in workload {
-        let Some(fwd) = prober.traceroute_fresh(src, dst) else {
+        let Some(fwd) = prober.traceroute_fresh(&mut task, src, dst) else {
             continue;
         };
         if !fwd.reached {

@@ -20,6 +20,7 @@ use rand::rngs::StdRng;
 use revtr::EngineConfig;
 use revtr_aliasing::Ip2As;
 use revtr_netsim::Addr;
+use revtr_probing::TaskCtx;
 use revtr_vpselect::IngressDb;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -106,6 +107,7 @@ pub fn optimal_selection(candidates: &[Trace], weight_from: &[Trace], k: usize) 
 /// toward each of a few sources, pooled.
 pub fn collect_split(ctx: &EvalContext, half: usize, n_sources: usize) -> SplitData {
     let prober = ctx.prober();
+    let mut task = TaskCtx::default();
     let pool = ctx.atlas_pool();
     let mut candidates = Vec::new();
     let mut revtrs = Vec::new();
@@ -115,7 +117,7 @@ pub fn collect_split(ctx: &EvalContext, half: usize, n_sources: usize) -> SplitD
             if traces.len() >= 2 * half {
                 break;
             }
-            let Some(t) = prober.traceroute_fresh(probe, src) else {
+            let Some(t) = prober.traceroute_fresh(&mut task, probe, src) else {
                 continue;
             };
             if !t.reached {
@@ -297,6 +299,7 @@ impl StalenessReport {
 /// hours of route churn, each intersected trace re-verified immediately.
 pub fn run_staleness(ctx: &EvalContext, ingress: &Arc<IngressDb>) -> StalenessReport {
     let prober = ctx.prober();
+    let mut task = TaskCtx::default();
     let sys = ctx.build_system(prober.clone(), EngineConfig::revtr2(), ingress.clone());
     let ip2as = Ip2As::new(&ctx.sim);
     let workload = ctx.workload();
@@ -321,7 +324,7 @@ pub fn run_staleness(ctx: &EvalContext, ingress: &Arc<IngressDb>) -> StalenessRe
             continue;
         };
         // Fresh re-measurement of the same traceroute.
-        let Some(fresh) = prober.traceroute_fresh(trace.vp, src) else {
+        let Some(fresh) = prober.traceroute_fresh(&mut task, trace.vp, src) else {
             hourly[hour].1 += 1;
             continue;
         };

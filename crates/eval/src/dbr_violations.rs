@@ -13,7 +13,7 @@ use crate::stats::fraction;
 use revtr::extract_reverse_hops;
 use revtr_aliasing::{AliasResolver, Ip2As};
 use revtr_netsim::Addr;
-use revtr_probing::Prober;
+use revtr_probing::{Prober, TaskCtx};
 use revtr_vpselect::IngressDb;
 use std::sync::Arc;
 
@@ -80,6 +80,7 @@ fn reverse_hops_once(
     claimed: Addr,
 ) -> Vec<Addr> {
     let sim = prober.sim();
+    let mut task = TaskCtx::default();
     let plan_prefix = sim.topo().prefix_of(target).or_else(|| {
         sim.topo()
             .block_owner(target)
@@ -99,7 +100,7 @@ fn reverse_hops_once(
     for chunk in plan.chunks(3) {
         let pairs: Vec<(Addr, Addr)> = chunk.iter().map(|&vp| (vp, target)).collect();
         for reply in prober
-            .spoofed_rr_batch(&pairs, claimed)
+            .spoofed_rr_batch(&mut task, &pairs, claimed)
             .replies
             .into_iter()
             .flatten()

@@ -11,6 +11,7 @@ use crate::context::{EvalContext, EvalScale};
 use crate::render::{Figure, Table};
 use crate::stats::{fraction, Distribution};
 use revtr_netsim::{Addr, SimConfig};
+use revtr_probing::TaskCtx;
 use revtr_vpselect::{path_view, Heuristics};
 
 /// Aggregate counts for one era (Table 6's column).
@@ -46,6 +47,7 @@ pub struct ResponsivenessReport {
 /// distances).
 fn probe_era(ctx: &EvalContext, vps: &[Addr]) -> (EraStats, EraDistances) {
     let prober = ctx.prober();
+    let mut task = TaskCtx::default();
     let pinger = vps[0];
     let mut stats = EraStats::default();
     let mut dists = EraDistances::default();
@@ -53,7 +55,7 @@ fn probe_era(ctx: &EvalContext, vps: &[Addr]) -> (EraStats, EraDistances) {
         // One candidate host per prefix — responsive or not ("All probed").
         let dest = ctx.sim.host_addrs(p).next().expect("prefix has host space");
         stats.probed += 1;
-        if prober.ping(pinger, dest).is_none() {
+        if prober.ping(&mut task, pinger, dest).is_none() {
             continue;
         }
         stats.ping_responsive += 1;
@@ -61,7 +63,7 @@ fn probe_era(ctx: &EvalContext, vps: &[Addr]) -> (EraStats, EraDistances) {
         let mut best: Option<usize> = None;
         let mut answered = false;
         for &vp in vps {
-            let Some(r) = prober.rr_ping(vp, dest) else {
+            let Some(r) = prober.rr_ping(&mut task, vp, dest) else {
                 continue;
             };
             answered = true;
@@ -212,6 +214,7 @@ impl SpoofingBenefit {
 /// Measure the spoofing benefit over `(src, dst)` pairs.
 pub fn spoofing_benefit(ctx: &EvalContext) -> SpoofingBenefit {
     let prober = ctx.prober();
+    let mut task = TaskCtx::default();
     let vps = ctx.vps();
     let mut out = SpoofingBenefit::default();
     for (i, p) in ctx.sampled_prefixes().into_iter().enumerate() {
@@ -225,16 +228,16 @@ pub fn spoofing_benefit(ctx: &EvalContext) -> SpoofingBenefit {
                 .map(|rev| !rev.is_empty())
                 .unwrap_or(false)
         };
-        if prober.rr_ping(src, dst).is_none() {
+        if prober.rr_ping(&mut task, src, dst).is_none() {
             continue; // not RR responsive: outside the denominator
         }
         out.pairs += 1;
-        if reveals(prober.rr_ping(src, dst)) {
+        if reveals(prober.rr_ping(&mut task, src, dst)) {
             out.without_spoofing += 1;
         }
         // Spoofed: any VP will do; the paper's claim is about the best one.
         let best = vps.iter().take(30).any(|&vp| {
-            let replies = prober.spoofed_rr_batch(&[(vp, dst)], src);
+            let replies = prober.spoofed_rr_batch(&mut task, &[(vp, dst)], src);
             reveals(replies.replies.into_iter().next().flatten())
         });
         if best {

@@ -14,7 +14,7 @@ use crate::stats::fraction;
 use revtr::extract_reverse_hops;
 use revtr_aliasing::{AliasResolver, Ip2As};
 use revtr_netsim::Addr;
-use revtr_probing::Prober;
+use revtr_probing::{Prober, TaskCtx};
 use revtr_vpselect::IngressDb;
 use std::sync::Arc;
 
@@ -94,6 +94,7 @@ fn reveal_reverse_hops(
     fallback_vps: &[Addr],
 ) -> Vec<Addr> {
     let sim = prober.sim();
+    let mut task = TaskCtx::default();
     let plan_prefix = sim.topo().prefix_of(target).or_else(|| {
         sim.topo()
             .block_owner(target)
@@ -115,7 +116,7 @@ fn reveal_reverse_hops(
     for chunk in plan.chunks(3) {
         let pairs: Vec<(Addr, Addr)> = chunk.iter().map(|&vp| (vp, target)).collect();
         for reply in prober
-            .spoofed_rr_batch(&pairs, src)
+            .spoofed_rr_batch(&mut task, &pairs, src)
             .replies
             .into_iter()
             .flatten()
@@ -138,6 +139,7 @@ pub fn run(
     max_targets: usize,
 ) -> SymmetryAssumptionReport {
     let prober = ctx.prober();
+    let mut task = TaskCtx::default();
     let resolver = AliasResolver::new(&ctx.sim);
     let ip2as = Ip2As::new(&ctx.sim);
     let sources: Vec<Addr> = ctx.sources();
@@ -169,7 +171,7 @@ pub fn run(
     let mut report = SymmetryAssumptionReport::default();
     for &target in &targets {
         for &src in sources.iter().take(5) {
-            let Some(tr) = prober.traceroute_fresh(src, target) else {
+            let Some(tr) = prober.traceroute_fresh(&mut task, src, target) else {
                 continue;
             };
             let Some(penult) = tr

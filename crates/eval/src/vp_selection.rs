@@ -14,7 +14,7 @@ use crate::render::{Figure, Table};
 use crate::stats::{fraction, Distribution};
 use revtr::extract_reverse_hops;
 use revtr_netsim::{Addr, PrefixId};
-use revtr_probing::Prober;
+use revtr_probing::{Prober, TaskCtx};
 use revtr_vpselect::{third_destination_consistent, Heuristics, IngressDb, IngressQueue, RR_RANGE};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -115,6 +115,7 @@ fn flatten_queues(queues: &[IngressQueue]) -> Vec<Addr> {
 /// Run the VP-selection evaluation.
 pub fn run(ctx: &EvalContext) -> VpSelectionReport {
     let prober: Prober<'_> = ctx.prober(); // shared cache across heuristics
+    let mut task = TaskCtx::default();
     let vps = ctx.vps();
     let claimed = vps[0]; // spoofed source: a registered revtr source
 
@@ -144,7 +145,7 @@ pub fn run(ctx: &EvalContext) -> VpSelectionReport {
         // dedups repeats).
         let mut outcomes = HashMap::new();
         for &vp in &vps {
-            let replies = prober.spoofed_rr_batch(&[(vp, dest)], claimed);
+            let replies = prober.spoofed_rr_batch(&mut task, &[(vp, dest)], claimed);
             let out = replies.replies[0]
                 .as_ref()
                 .map(|r| {

@@ -9,8 +9,17 @@
 //! hot path does a lookup here, and a single global `RwLock` per map turns
 //! into a convoy under parallel campaign workers. The hit/miss/insert/
 //! expired counters are cache-line padded for the same reason.
+//!
+//! Fills are single-flight: a prober holds the key's fill lock
+//! ([`MeasurementCache::fill_lock_rr`] / [`MeasurementCache::fill_lock_traceroute`])
+//! from its lookup through the probe to the store, so concurrent tasks
+//! asking for the same key probe it once. Which task pays for the fill
+//! depends on the schedule; how many fills a campaign pays for does not.
 
+use parking_lot::{Mutex, MutexGuard};
 use revtr_netsim::{Addr, CachePadded, RrReply, Sim, StripedMap, TraceResult};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default cache TTL: one day of virtual time (paper Q1/D.2.2).
@@ -90,6 +99,10 @@ pub const TRACEROUTE_ENTRY_BYTES: u64 = 256;
 /// `CachedRr` with a ≤9-slot stamp vector — ~112 B.
 pub const RR_ENTRY_BYTES: u64 = 112;
 
+/// Fill-lock stripes shared by both maps. Keys that collide on a stripe
+/// only serialize their (rare, miss-path) fills, never their lookups.
+const FILL_STRIPES: usize = 64;
+
 /// TTL-based cache for traceroutes and RR replies.
 #[derive(Debug)]
 pub struct MeasurementCache {
@@ -100,6 +113,7 @@ pub struct MeasurementCache {
     misses: CachePadded<AtomicU64>,
     inserts: CachePadded<AtomicU64>,
     expired: CachePadded<AtomicU64>,
+    fills: Box<[CachePadded<Mutex<()>>]>,
 }
 
 impl MeasurementCache {
@@ -118,7 +132,28 @@ impl MeasurementCache {
             misses: Default::default(),
             inserts: Default::default(),
             expired: Default::default(),
+            fills: (0..FILL_STRIPES).map(|_| Default::default()).collect(),
         }
+    }
+
+    fn fill_lock<K: Hash>(&self, key: &K) -> MutexGuard<'_, ()> {
+        // `DefaultHasher::new()` has fixed keys: the stripe of a key is the
+        // same in every process.
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        self.fills[h.finish() as usize % FILL_STRIPES].lock()
+    }
+
+    /// The fill lock of an RR key. Hold it across the lookup, the probe
+    /// and the store; not reentrant, so hold at most one at a time.
+    pub fn fill_lock_rr(&self, key: RrKey) -> MutexGuard<'_, ()> {
+        self.fill_lock(&key)
+    }
+
+    /// The fill lock of a traceroute key (see
+    /// [`MeasurementCache::fill_lock_rr`]).
+    pub fn fill_lock_traceroute(&self, src: Addr, dst: Addr) -> MutexGuard<'_, ()> {
+        self.fill_lock(&(src, dst))
     }
 
     fn fresh(&self, at: f64, now: f64) -> bool {
@@ -170,6 +205,17 @@ impl MeasurementCache {
     pub fn get_rr(&self, sim: &Sim, key: RrKey) -> Option<CachedRr> {
         let now = sim.now_hours();
         self.classify(self.rr.get(&key), now)
+    }
+
+    /// [`MeasurementCache::get_rr`] without touching the stats: the
+    /// re-check a filler makes under the fill lock after a lookup it
+    /// already counted as a miss.
+    pub fn peek_rr(&self, sim: &Sim, key: RrKey) -> Option<CachedRr> {
+        let now = sim.now_hours();
+        self.rr
+            .get(&key)
+            .filter(|e| self.fresh(e.at_hours, now))
+            .map(|e| e.value)
     }
 
     /// Store an RR outcome (including "no answer") with its provenance.

@@ -6,16 +6,14 @@
 //! otherwise false-share, turning independent per-category increments
 //! from parallel workers into a single contended line.
 //!
-//! Besides the global totals, every increment is mirrored into a
-//! *per-thread* shadow ([`Counters::thread_snapshot`]). A measurement runs
-//! synchronously on one thread, so diffing the thread shadow around it
-//! attributes exactly its own probes — diffing the global totals would
-//! fold in whatever concurrent workers sent during the same window,
-//! making per-request probe counts depend on the worker count.
+//! Besides the global totals, every increment is charged to the calling
+//! task's [`TaskCtx`]. A measurement reads its own probe counts there —
+//! diffing the global totals would fold in whatever concurrent tasks sent
+//! during the same window, making per-request probe counts depend on the
+//! schedule and the worker count.
 
+use crate::ctx::TaskCtx;
 use revtr_netsim::CachePadded;
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The probe categories tracked (Table 4 plus infrastructure kinds).
@@ -75,20 +73,9 @@ impl ProbeKind {
     }
 }
 
-thread_local! {
-    /// This thread's contribution per `Counters` instance (keyed by its
-    /// unique id).
-    static SHADOW: RefCell<HashMap<u64, [u64; N_KINDS]>> = RefCell::new(HashMap::new());
-}
-
-/// Unique-id source for `Counters` instances (ids are never reused, so a
-/// stale shadow entry can't alias a new instance).
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-
 /// Live atomic probe counters.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Counters {
-    id: u64,
     totals: [CachePadded<AtomicU64>; N_KINDS],
 }
 
@@ -123,21 +110,22 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    fn to_array(self) -> [u64; N_KINDS] {
-        [
-            self.ping,
-            self.rr,
-            self.spoof_rr,
-            self.ts,
-            self.spoof_ts,
-            self.traceroute_pkts,
-            self.traceroutes,
-            self.atlas_rr,
-            self.retries,
-            self.lost,
-            self.events,
-            self.cache_bytes,
-        ]
+    /// The field counting `kind`.
+    fn count_mut(&mut self, kind: ProbeKind) -> &mut u64 {
+        match kind {
+            ProbeKind::Ping => &mut self.ping,
+            ProbeKind::Rr => &mut self.rr,
+            ProbeKind::SpoofRr => &mut self.spoof_rr,
+            ProbeKind::Ts => &mut self.ts,
+            ProbeKind::SpoofTs => &mut self.spoof_ts,
+            ProbeKind::TraceroutePkts => &mut self.traceroute_pkts,
+            ProbeKind::Traceroutes => &mut self.traceroutes,
+            ProbeKind::AtlasRr => &mut self.atlas_rr,
+            ProbeKind::Retries => &mut self.retries,
+            ProbeKind::Lost => &mut self.lost,
+            ProbeKind::Events => &mut self.events,
+            ProbeKind::CacheBytes => &mut self.cache_bytes,
+        }
     }
 
     fn from_array(v: &[u64; N_KINDS]) -> Snapshot {
@@ -250,13 +238,10 @@ impl Snapshot {
 impl Counters {
     /// Fresh zeroed counters.
     pub fn new() -> Counters {
-        Counters {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            totals: Default::default(),
-        }
+        Counters::default()
     }
 
-    /// Copy current global values (all threads).
+    /// Copy current global values (every task's charges).
     pub fn snapshot(&self) -> Snapshot {
         let mut v = [0u64; N_KINDS];
         for (slot, total) in v.iter_mut().zip(&self.totals) {
@@ -265,63 +250,23 @@ impl Counters {
         Snapshot::from_array(&v)
     }
 
-    /// Copy the calling thread's contribution only. Diffing this around a
-    /// measurement attributes exactly the probes that measurement sent,
-    /// regardless of what other workers do concurrently.
-    pub fn thread_snapshot(&self) -> Snapshot {
-        SHADOW.with(|s| {
-            s.borrow()
-                .get(&self.id)
-                .map(Snapshot::from_array)
-                .unwrap_or_default()
-        })
-    }
-
-    /// Replace the calling thread's shadow with `snap` and return the
-    /// previous shadow.
-    ///
-    /// Counterpart of `Clock::swap_thread_ms` for the event-driven
-    /// engine: the loop swaps each control block's private snapshot in
-    /// before stepping it and back out after, so [`thread_snapshot`]
-    /// diffs inside the measurement attribute exactly that measurement's
-    /// probes even though many measurements share one OS thread.
-    ///
-    /// [`thread_snapshot`]: Counters::thread_snapshot
-    pub fn swap_thread_snapshot(&self, snap: Snapshot) -> Snapshot {
-        SHADOW.with(|s| {
-            Snapshot::from_array(&std::mem::replace(
-                s.borrow_mut().entry(self.id).or_default(),
-                snap.to_array(),
-            ))
-        })
-    }
-
     /// Count `n` event-loop steps ([`ProbeKind::Events`]). Public — the
-    /// event loop lives in the `core` crate — and mirrored into the
-    /// per-thread shadow like every probe kind, so span diffs attribute
-    /// loop work to the stage that did it at any worker count.
-    pub fn add_events(&self, n: u64) {
-        self.add(ProbeKind::Events, n);
+    /// event loop lives in the `core` crate — and charged to the task like
+    /// every probe kind, so span diffs attribute loop work to the stage
+    /// that did it at any worker count.
+    pub fn add_events(&self, n: u64, ctx: &mut TaskCtx) {
+        self.add(ProbeKind::Events, n, ctx);
     }
 
     /// Increment a counter by one.
-    pub(crate) fn bump(&self, kind: ProbeKind) {
-        self.add(kind, 1);
+    pub(crate) fn bump(&self, kind: ProbeKind, ctx: &mut TaskCtx) {
+        self.add(kind, 1, ctx);
     }
 
-    /// Increment a counter by `n`.
-    pub(crate) fn add(&self, kind: ProbeKind, n: u64) {
-        let i = kind.index();
-        self.totals[i].fetch_add(n, Ordering::Relaxed);
-        SHADOW.with(|s| {
-            s.borrow_mut().entry(self.id).or_default()[i] += n;
-        });
-    }
-}
-
-impl Default for Counters {
-    fn default() -> Counters {
-        Counters::new()
+    /// Increment a counter by `n`, in the totals and in `ctx`.
+    pub(crate) fn add(&self, kind: ProbeKind, n: u64, ctx: &mut TaskCtx) {
+        self.totals[kind.index()].fetch_add(n, Ordering::Relaxed);
+        *ctx.probes.count_mut(kind) += n;
     }
 }
 
@@ -332,11 +277,12 @@ mod tests {
     #[test]
     fn snapshot_diff_and_sum() {
         let c = Counters::new();
-        c.bump(ProbeKind::Rr);
-        c.bump(ProbeKind::Rr);
-        c.bump(ProbeKind::SpoofRr);
+        let mut ctx = TaskCtx::default();
+        c.bump(ProbeKind::Rr, &mut ctx);
+        c.bump(ProbeKind::Rr, &mut ctx);
+        c.bump(ProbeKind::SpoofRr, &mut ctx);
         let a = c.snapshot();
-        c.add(ProbeKind::Ts, 5);
+        c.add(ProbeKind::Ts, 5, &mut ctx);
         let b = c.snapshot();
         let d = b.since(&a);
         assert_eq!(d.rr, 0);
@@ -349,20 +295,22 @@ mod tests {
     #[test]
     fn all_packets_counts_everything() {
         let c = Counters::new();
-        c.add(ProbeKind::Ping, 2);
-        c.add(ProbeKind::TraceroutePkts, 7);
-        c.add(ProbeKind::AtlasRr, 3);
-        c.add(ProbeKind::SpoofTs, 1);
+        let mut ctx = TaskCtx::default();
+        c.add(ProbeKind::Ping, 2, &mut ctx);
+        c.add(ProbeKind::TraceroutePkts, 7, &mut ctx);
+        c.add(ProbeKind::AtlasRr, 3, &mut ctx);
+        c.add(ProbeKind::SpoofTs, 1, &mut ctx);
         assert_eq!(c.snapshot().all_packets(), 2 + 7 + 3 + 1);
     }
 
     #[test]
     fn meta_kinds_stay_out_of_packet_accounting() {
         let c = Counters::new();
-        c.add(ProbeKind::Rr, 4);
-        c.add(ProbeKind::Ping, 2);
-        c.add_events(100);
-        c.add(ProbeKind::CacheBytes, 4096);
+        let mut ctx = TaskCtx::default();
+        c.add(ProbeKind::Rr, 4, &mut ctx);
+        c.add(ProbeKind::Ping, 2, &mut ctx);
+        c.add_events(100, &mut ctx);
+        c.add(ProbeKind::CacheBytes, 4096, &mut ctx);
         let s = c.snapshot();
         assert_eq!(s.events, 100);
         assert_eq!(s.cache_bytes, 4096);
@@ -392,58 +340,5 @@ mod tests {
         };
         assert_eq!(s.probe_bytes(), 4 * 68 + 8 * 28);
         assert_eq!(Snapshot::default().probe_bytes(), 0);
-    }
-
-    #[test]
-    fn thread_snapshot_attributes_per_thread() {
-        let c = Counters::new();
-        c.add(ProbeKind::Rr, 3);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let before = c.thread_snapshot();
-                    assert_eq!(before, Snapshot::default(), "fresh thread starts at zero");
-                    c.add(ProbeKind::SpoofRr, 2);
-                    let mine = c.thread_snapshot().since(&before);
-                    assert_eq!(mine.spoof_rr, 2);
-                    assert_eq!(mine.rr, 0, "other threads' rr not attributed here");
-                });
-            }
-        });
-        // Globals see everything.
-        let g = c.snapshot();
-        assert_eq!(g.rr, 3);
-        assert_eq!(g.spoof_rr, 8);
-        // This thread only its own.
-        assert_eq!(c.thread_snapshot().rr, 3);
-        assert_eq!(c.thread_snapshot().spoof_rr, 0);
-    }
-
-    #[test]
-    fn swap_thread_snapshot_multiplexes_shadows() {
-        let c = Counters::new();
-        c.add(ProbeKind::Rr, 2); // task A
-        let a = c.swap_thread_snapshot(Snapshot::default()); // to task B
-        assert_eq!(a.rr, 2);
-        assert_eq!(c.thread_snapshot(), Snapshot::default());
-        c.add(ProbeKind::SpoofRr, 5); // task B
-        let b = c.swap_thread_snapshot(a); // back to task A
-        assert_eq!(b.spoof_rr, 5);
-        assert_eq!(b.rr, 0);
-        c.bump(ProbeKind::Rr); // task A again
-        assert_eq!(c.thread_snapshot().rr, 3);
-        assert_eq!(c.thread_snapshot().spoof_rr, 0);
-        // Globals unaffected by shadow bookkeeping.
-        assert_eq!(c.snapshot().rr, 3);
-        assert_eq!(c.snapshot().spoof_rr, 5);
-    }
-
-    #[test]
-    fn instances_do_not_share_shadows() {
-        let a = Counters::new();
-        let b = Counters::new();
-        a.bump(ProbeKind::Ping);
-        assert_eq!(b.thread_snapshot().ping, 0);
-        assert_eq!(a.thread_snapshot().ping, 1);
     }
 }

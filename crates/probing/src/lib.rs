@@ -8,20 +8,24 @@
 //! * a **virtual clock** charging realistic latency: per-probe RTTs,
 //!   per-batch 10-second spoofed-probe collection timeouts (§5.2.4),
 //! * a **measurement cache** with a one-day virtual TTL (Insight 1.4),
+//! * a per-task [`TaskCtx`] every probe charges next to the shared
+//!   totals, so each measurement reads its own time and probe counts,
 //!
 //! so that the throughput/latency/overhead results (Table 4, Fig. 5c) fall
 //! out of counters rather than instrumentation.
 //!
 //! ```
 //! use revtr_netsim::{Sim, SimConfig};
-//! use revtr_probing::Prober;
+//! use revtr_probing::{Prober, TaskCtx};
 //!
 //! let sim = Sim::build(SimConfig::tiny(), 7);
 //! let prober = Prober::new(&sim);
 //! let vp = sim.topo().vp_sites[0].host;
 //! let dst = sim.topo().vp_sites[1].host;
-//! prober.rr_ping(vp, dst).expect("VP answers RR");
+//! let mut ctx = TaskCtx::default();
+//! prober.rr_ping(&mut ctx, vp, dst).expect("VP answers RR");
 //! assert_eq!(prober.counters().snapshot().rr, 1);
+//! assert_eq!(ctx.probes.rr, 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -29,6 +33,7 @@
 pub mod cache;
 pub mod clock;
 pub mod counters;
+pub mod ctx;
 pub mod prober;
 pub mod stopset;
 
@@ -38,6 +43,7 @@ pub use cache::{
 };
 pub use clock::{Clock, SPOOF_BATCH_TIMEOUT_MS};
 pub use counters::{Counters, ProbeKind, Snapshot};
+pub use ctx::TaskCtx;
 pub use prober::{
     BatchReply, ProbeLoss, Prober, RetryPolicy, RrProvenance, PROBE_TIMEOUT_MS,
     TRACEROUTE_TIMEOUT_MS,

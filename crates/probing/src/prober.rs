@@ -2,7 +2,9 @@
 //! virtual latency, optional measurement reuse, and bounded retries.
 //!
 //! A [`Prober`] is cheap to clone and thread-safe; campaign code clones one
-//! per worker so counters/clock/cache are shared.
+//! per worker so counters/clock/cache are shared. Every probe method takes
+//! the calling task's [`TaskCtx`] and charges it beside those shared
+//! totals.
 //!
 //! # Faults and retries
 //!
@@ -19,6 +21,7 @@
 use crate::cache::{CachedRr, MeasurementCache, RrKey, RR_ENTRY_BYTES, TRACEROUTE_ENTRY_BYTES};
 use crate::clock::{Clock, SPOOF_BATCH_TIMEOUT_MS};
 use crate::counters::{Counters, ProbeKind};
+use crate::ctx::TaskCtx;
 use revtr_netsim::{Addr, EchoReply, RrReply, Sim, TraceResult, TsReply};
 use revtr_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
@@ -113,6 +116,20 @@ pub struct RrProvenance {
     pub rep_epoch: Option<u32>,
     /// True if this observation was served from the measurement cache.
     pub from_cache: bool,
+}
+
+/// The provenance of an RR observation replayed from the cache entry
+/// `hit` stored under `key`.
+fn cached_provenance(key: RrKey, hit: &CachedRr) -> RrProvenance {
+    RrProvenance {
+        sender: key.sender,
+        claimed: key.claimed,
+        dst: key.dst,
+        nonce: hit.nonce,
+        fwd_epoch: hit.fwd_epoch,
+        rep_epoch: hit.rep_epoch,
+        from_cache: true,
+    }
 }
 
 /// Result of a spoofed RR batch, with per-pair fault attribution.
@@ -224,11 +241,9 @@ impl<'s> Prober<'s> {
         self.nonce.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn charge(&self, reply_rtt: Option<f64>) {
-        match reply_rtt {
-            Some(rtt) => self.clock.advance(rtt, self.sim),
-            None => self.clock.advance(PROBE_TIMEOUT_MS, self.sim),
-        }
+    fn charge(&self, ctx: &mut TaskCtx, reply_rtt: Option<f64>) {
+        let ms = reply_rtt.unwrap_or(PROBE_TIMEOUT_MS);
+        self.clock.advance(ms, self.sim, ctx);
     }
 
     /// Draw the fault fate of one probe attempt toward `dst` (spoofed
@@ -294,32 +309,32 @@ impl<'s> Prober<'s> {
 
     /// Charge backoff before re-send number `attempt` (1-based) and count
     /// the retry.
-    fn charge_retry(&self, attempt: u32) {
-        self.counters.bump(ProbeKind::Retries);
+    fn charge_retry(&self, ctx: &mut TaskCtx, attempt: u32) {
+        self.counters.bump(ProbeKind::Retries, ctx);
         self.telemetry.counter_add("probing.retries", 1);
         if self.retry.backoff_ms > 0.0 {
             self.clock
-                .advance(self.retry.backoff_ms * attempt as f64, self.sim);
+                .advance(self.retry.backoff_ms * attempt as f64, self.sim, ctx);
         }
     }
 
     // ---- pings ------------------------------------------------------------
 
     /// Plain ping, retrying fault-lost attempts within budget.
-    pub fn ping(&self, src: Addr, dst: Addr) -> Option<EchoReply> {
+    pub fn ping(&self, ctx: &mut TaskCtx, src: Addr, dst: Addr) -> Option<EchoReply> {
         for attempt in 0..self.retry.ping_attempts.max(1) {
             if attempt > 0 {
-                self.charge_retry(attempt);
+                self.charge_retry(ctx, attempt);
             }
-            self.counters.bump(ProbeKind::Ping);
+            self.counters.bump(ProbeKind::Ping, ctx);
             if self.fault_lost(None, dst) {
-                self.counters.bump(ProbeKind::Lost);
+                self.counters.bump(ProbeKind::Lost, ctx);
                 self.tele_lost();
-                self.charge(None);
+                self.charge(ctx, None);
                 continue;
             }
             let r = self.sim.ping(src, dst);
-            self.charge(r.as_ref().map(|x| x.rtt_ms));
+            self.charge(ctx, r.as_ref().map(|x| x.rtt_ms));
             return r;
         }
         None
@@ -330,21 +345,27 @@ impl<'s> Prober<'s> {
     /// Non-spoofed RR ping from `src`, reusing a fresh cached result when
     /// caching is enabled. Collapses [`Prober::rr_ping_outcome`]'s loss
     /// attribution.
-    pub fn rr_ping(&self, src: Addr, dst: Addr) -> Option<RrReply> {
-        self.rr_ping_outcome(src, dst).ok()
+    pub fn rr_ping(&self, ctx: &mut TaskCtx, src: Addr, dst: Addr) -> Option<RrReply> {
+        self.rr_ping_outcome(ctx, src, dst).ok()
     }
 
     /// Non-spoofed RR ping distinguishing *why* it failed: genuinely
     /// unanswered (persistent) vs fault-lost beyond the retry budget
     /// (transient).
-    pub fn rr_ping_outcome(&self, src: Addr, dst: Addr) -> Result<RrReply, ProbeLoss> {
-        self.rr_ping_observed(src, dst).map(|(r, _)| r)
+    pub fn rr_ping_outcome(
+        &self,
+        ctx: &mut TaskCtx,
+        src: Addr,
+        dst: Addr,
+    ) -> Result<RrReply, ProbeLoss> {
+        self.rr_ping_observed(ctx, src, dst).map(|(r, _)| r)
     }
 
     /// [`Prober::rr_ping_outcome`] plus the send-time provenance needed to
     /// replay the observation (stitch-trace audit).
     pub fn rr_ping_observed(
         &self,
+        ctx: &mut TaskCtx,
         src: Addr,
         dst: Addr,
     ) -> Result<(RrReply, RrProvenance), ProbeLoss> {
@@ -353,39 +374,35 @@ impl<'s> Prober<'s> {
             claimed: src,
             dst,
         };
+        // Single-flight: the lookup, the probe and the store all happen
+        // under the key's fill lock.
+        let _fill = self.use_cache.then(|| self.cache.fill_lock_rr(key));
         if self.use_cache {
             if let Some(hit) = self.cache.get_rr(self.sim, key) {
-                let prov = RrProvenance {
-                    sender: src,
-                    claimed: src,
-                    dst,
-                    nonce: hit.nonce,
-                    fwd_epoch: hit.fwd_epoch,
-                    rep_epoch: hit.rep_epoch,
-                    from_cache: true,
-                };
+                let prov = cached_provenance(key, &hit);
                 return hit.reply.map(|r| (r, prov)).ok_or(ProbeLoss::Unanswered);
             }
         }
         for attempt in 0..self.retry.rr_attempts.max(1) {
             if attempt > 0 {
-                self.charge_retry(attempt);
+                self.charge_retry(ctx, attempt);
             }
-            self.counters.bump(ProbeKind::Rr);
+            self.counters.bump(ProbeKind::Rr, ctx);
             if self.fault_lost(None, dst) || self.scenario_lost(None, src, dst, attempt) {
-                self.counters.bump(ProbeKind::Lost);
+                self.counters.bump(ProbeKind::Lost, ctx);
                 self.tele_lost();
-                self.charge(None);
+                self.charge(ctx, None);
                 continue;
             }
             let nonce = self.next_nonce();
             let (fwd_epoch, rep_epoch) = self.epochs(dst, src);
             let r = self.sim.rr_ping(src, dst, nonce);
-            self.charge(r.as_ref().map(|x| x.rtt_ms));
+            self.charge(ctx, r.as_ref().map(|x| x.rtt_ms));
             if self.use_cache {
                 // Cache only genuine outcomes; fault losses above are
                 // transient and must not be negative-cached.
-                self.counters.add(ProbeKind::CacheBytes, RR_ENTRY_BYTES);
+                self.counters
+                    .add(ProbeKind::CacheBytes, RR_ENTRY_BYTES, ctx);
                 self.cache.put_rr(
                     self.sim,
                     key,
@@ -414,25 +431,31 @@ impl<'s> Prober<'s> {
 
     /// RR ping issued for the background RR-atlas (§4.2): identical
     /// semantics, separate accounting (offline budget).
-    pub fn atlas_rr_ping(&self, sender: Addr, claimed: Addr, dst: Addr) -> Option<RrReply> {
+    pub fn atlas_rr_ping(
+        &self,
+        ctx: &mut TaskCtx,
+        sender: Addr,
+        claimed: Addr,
+        dst: Addr,
+    ) -> Option<RrReply> {
         let spoofed = sender != claimed;
         for attempt in 0..self.retry.rr_attempts.max(1) {
             if attempt > 0 {
-                self.charge_retry(attempt);
+                self.charge_retry(ctx, attempt);
             }
-            self.counters.bump(ProbeKind::AtlasRr);
+            self.counters.bump(ProbeKind::AtlasRr, ctx);
             if self.fault_lost(spoofed.then_some(sender), dst)
                 || self.scenario_lost(spoofed.then_some(sender), claimed, dst, attempt)
             {
-                self.counters.bump(ProbeKind::Lost);
+                self.counters.bump(ProbeKind::Lost, ctx);
                 self.tele_lost();
-                self.charge(None);
+                self.charge(ctx, None);
                 continue;
             }
             let r = self
                 .sim
                 .rr_ping_from(sender, claimed, dst, self.next_nonce());
-            self.charge(r.as_ref().map(|x| x.rtt_ms));
+            self.charge(ctx, r.as_ref().map(|x| x.rtt_ms));
             return r;
         }
         None
@@ -444,8 +467,13 @@ impl<'s> Prober<'s> {
     /// batch count the dominant latency factor (Fig. 5c); fault-lost pairs
     /// are re-collected for up to [`RetryPolicy::batch_attempts`] rounds.
     /// An empty or fully cached batch costs nothing.
-    pub fn spoofed_rr_batch(&self, pairs: &[(Addr, Addr)], claimed: Addr) -> BatchReply {
-        self.spoofed_rr_batch_at(pairs, claimed, &[])
+    pub fn spoofed_rr_batch(
+        &self,
+        ctx: &mut TaskCtx,
+        pairs: &[(Addr, Addr)],
+        claimed: Addr,
+    ) -> BatchReply {
+        self.spoofed_rr_batch_at(ctx, pairs, claimed, &[])
     }
 
     /// [`Prober::spoofed_rr_batch`] with per-pair scenario attempt bases:
@@ -456,6 +484,7 @@ impl<'s> Prober<'s> {
     /// worker-count-invariant where a shared counter would not.
     pub fn spoofed_rr_batch_at(
         &self,
+        ctx: &mut TaskCtx,
         pairs: &[(Addr, Addr)],
         claimed: Addr,
         attempt_base: &[u32],
@@ -476,17 +505,7 @@ impl<'s> Prober<'s> {
             };
             if self.use_cache {
                 if let Some(hit) = self.cache.get_rr(self.sim, key) {
-                    if hit.reply.is_some() {
-                        out.provenance[i] = Some(RrProvenance {
-                            sender: vp,
-                            claimed,
-                            dst,
-                            nonce: hit.nonce,
-                            fwd_epoch: hit.fwd_epoch,
-                            rep_epoch: hit.rep_epoch,
-                            from_cache: true,
-                        });
-                    }
+                    out.provenance[i] = hit.reply.as_ref().map(|_| cached_provenance(key, &hit));
                     out.replies[i] = hit.reply;
                     continue;
                 }
@@ -504,18 +523,38 @@ impl<'s> Prober<'s> {
                 break;
             }
             if round > 0 {
-                self.counters.add(ProbeKind::Retries, pending.len() as u64);
+                self.counters
+                    .add(ProbeKind::Retries, pending.len() as u64, ctx);
                 self.telemetry
                     .counter_add("probing.retries", pending.len() as u64);
             }
             let mut still_pending = Vec::new();
             for &i in &pending {
                 let (vp, dst) = pairs[i];
-                self.counters.bump(ProbeKind::SpoofRr);
+                let key = RrKey {
+                    sender: vp,
+                    claimed,
+                    dst,
+                };
+                // Single-flight: another task may have filled the key since
+                // the lookup above; re-check under the fill lock and replay
+                // its entry. An earlier duplicate of this pair in the batch
+                // is this call's own fill, which is probed again as before.
+                let _fill = self.use_cache.then(|| self.cache.fill_lock_rr(key));
+                if self.use_cache && !pairs[..i].contains(&pairs[i]) {
+                    if let Some(hit) = self.cache.peek_rr(self.sim, key) {
+                        out.provenance[i] =
+                            hit.reply.as_ref().map(|_| cached_provenance(key, &hit));
+                        out.replies[i] = hit.reply;
+                        out.transient[i] = false;
+                        continue;
+                    }
+                }
+                self.counters.bump(ProbeKind::SpoofRr, ctx);
                 let att = attempt_base.get(i).copied().unwrap_or(0) + round;
                 if self.fault_lost(Some(vp), dst) || self.scenario_lost(Some(vp), claimed, dst, att)
                 {
-                    self.counters.bump(ProbeKind::Lost);
+                    self.counters.bump(ProbeKind::Lost, ctx);
                     self.tele_lost();
                     out.transient[i] = true;
                     still_pending.push(i);
@@ -525,12 +564,8 @@ impl<'s> Prober<'s> {
                 let (fwd_epoch, rep_epoch) = self.epochs(dst, claimed);
                 let r = self.sim.rr_ping_from(vp, claimed, dst, nonce);
                 if self.use_cache {
-                    let key = RrKey {
-                        sender: vp,
-                        claimed,
-                        dst,
-                    };
-                    self.counters.add(ProbeKind::CacheBytes, RR_ENTRY_BYTES);
+                    self.counters
+                        .add(ProbeKind::CacheBytes, RR_ENTRY_BYTES, ctx);
                     self.cache.put_rr(
                         self.sim,
                         key,
@@ -555,7 +590,7 @@ impl<'s> Prober<'s> {
                 out.transient[i] = false;
             }
             out.timeouts += 1;
-            self.clock.advance(SPOOF_BATCH_TIMEOUT_MS, self.sim);
+            self.clock.advance(SPOOF_BATCH_TIMEOUT_MS, self.sim, ctx);
             pending = still_pending;
         }
         if self.telemetry.is_enabled() && n > 0 {
@@ -571,33 +606,40 @@ impl<'s> Prober<'s> {
 
     /// Non-spoofed TS-prespec ping. Collapses
     /// [`Prober::ts_ping_outcome`]'s loss attribution.
-    pub fn ts_ping(&self, src: Addr, dst: Addr, prespec: &[Addr]) -> Option<TsReply> {
-        self.ts_ping_outcome(src, dst, prespec).ok()
+    pub fn ts_ping(
+        &self,
+        ctx: &mut TaskCtx,
+        src: Addr,
+        dst: Addr,
+        prespec: &[Addr],
+    ) -> Option<TsReply> {
+        self.ts_ping_outcome(ctx, src, dst, prespec).ok()
     }
 
     /// Non-spoofed TS-prespec ping distinguishing persistent from
     /// transient (fault-budget-exhausted) failure.
     pub fn ts_ping_outcome(
         &self,
+        ctx: &mut TaskCtx,
         src: Addr,
         dst: Addr,
         prespec: &[Addr],
     ) -> Result<TsReply, ProbeLoss> {
         for attempt in 0..self.retry.ts_attempts.max(1) {
             if attempt > 0 {
-                self.charge_retry(attempt);
+                self.charge_retry(ctx, attempt);
             }
-            self.counters.bump(ProbeKind::Ts);
+            self.counters.bump(ProbeKind::Ts, ctx);
             if self.fault_lost(None, dst) || self.scenario_lost(None, src, dst, attempt) {
-                self.counters.bump(ProbeKind::Lost);
+                self.counters.bump(ProbeKind::Lost, ctx);
                 self.tele_lost();
-                self.charge(None);
+                self.charge(ctx, None);
                 continue;
             }
             let r = self
                 .sim
                 .ts_ping_from(src, src, dst, prespec, self.next_nonce());
-            self.charge(r.as_ref().map(|x| x.rtt_ms));
+            self.charge(ctx, r.as_ref().map(|x| x.rtt_ms));
             return r.ok_or(ProbeLoss::Unanswered);
         }
         self.telemetry.counter_add("probing.transient_exhausted", 1);
@@ -609,6 +651,7 @@ impl<'s> Prober<'s> {
     /// within [`RetryPolicy::batch_attempts`]).
     pub fn spoofed_ts_batch(
         &self,
+        ctx: &mut TaskCtx,
         probes: &[(Addr, Addr, Vec<Addr>)],
         claimed: Addr,
     ) -> Vec<Option<TsReply>> {
@@ -627,18 +670,19 @@ impl<'s> Prober<'s> {
                 break;
             }
             if round > 0 {
-                self.counters.add(ProbeKind::Retries, pending.len() as u64);
+                self.counters
+                    .add(ProbeKind::Retries, pending.len() as u64, ctx);
                 self.telemetry
                     .counter_add("probing.retries", pending.len() as u64);
             }
             let mut still_pending = Vec::new();
             for &i in &pending {
                 let (vp, dst, prespec) = &probes[i];
-                self.counters.bump(ProbeKind::SpoofTs);
+                self.counters.bump(ProbeKind::SpoofTs, ctx);
                 if self.fault_lost(Some(*vp), *dst)
                     || self.scenario_lost(Some(*vp), claimed, *dst, round)
                 {
-                    self.counters.bump(ProbeKind::Lost);
+                    self.counters.bump(ProbeKind::Lost, ctx);
                     self.tele_lost();
                     still_pending.push(i);
                     continue;
@@ -647,7 +691,7 @@ impl<'s> Prober<'s> {
                     .sim
                     .ts_ping_from(*vp, claimed, *dst, prespec, self.next_nonce());
             }
-            self.clock.advance(SPOOF_BATCH_TIMEOUT_MS, self.sim);
+            self.clock.advance(SPOOF_BATCH_TIMEOUT_MS, self.sim, ctx);
             pending = still_pending;
         }
         out
@@ -656,13 +700,16 @@ impl<'s> Prober<'s> {
     // ---- traceroute --------------------------------------------------------------
 
     /// (Paris) traceroute with caching.
-    pub fn traceroute(&self, src: Addr, dst: Addr) -> Option<TraceResult> {
+    pub fn traceroute(&self, ctx: &mut TaskCtx, src: Addr, dst: Addr) -> Option<TraceResult> {
         if self.use_cache {
+            // Single-flight, as for RR pings.
+            let _fill = self.cache.fill_lock_traceroute(src, dst);
             if let Some(hit) = self.cache.get_traceroute(self.sim, src, dst) {
                 return hit;
             }
+            return self.traceroute_fresh(ctx, src, dst);
         }
-        self.traceroute_fresh(src, dst)
+        self.traceroute_fresh(ctx, src, dst)
     }
 
     /// Traceroute bypassing the cache. Unlike the RR paths above, this
@@ -671,30 +718,30 @@ impl<'s> Prober<'s> {
     /// primitive, and a forced refresh must update the shared cache or
     /// every subsequent cached read would serve the stale trace it was
     /// called to replace.
-    pub fn traceroute_fresh(&self, src: Addr, dst: Addr) -> Option<TraceResult> {
+    pub fn traceroute_fresh(&self, ctx: &mut TaskCtx, src: Addr, dst: Addr) -> Option<TraceResult> {
         let flow = (revtr_netsim::hash::mix2(src.0 as u64, dst.0 as u64) & 0xFFFF) as u16;
         for attempt in 0..self.retry.traceroute_attempts.max(1) {
             if attempt > 0 {
-                self.charge_retry(attempt);
+                self.charge_retry(ctx, attempt);
             }
-            self.counters.bump(ProbeKind::Traceroutes);
+            self.counters.bump(ProbeKind::Traceroutes, ctx);
             if self.fault_lost(None, dst) {
-                self.counters.bump(ProbeKind::Lost);
+                self.counters.bump(ProbeKind::Lost, ctx);
                 self.tele_lost();
-                self.clock.advance(TRACEROUTE_TIMEOUT_MS, self.sim);
+                self.clock.advance(TRACEROUTE_TIMEOUT_MS, self.sim, ctx);
                 continue;
             }
             let r = self.sim.traceroute(src, dst, flow);
             match &r {
                 Some(t) => {
                     self.counters
-                        .add(ProbeKind::TraceroutePkts, t.hops.len() as u64);
-                    self.clock.advance(t.rtt_ms, self.sim);
+                        .add(ProbeKind::TraceroutePkts, t.hops.len() as u64, ctx);
+                    self.clock.advance(t.rtt_ms, self.sim, ctx);
                 }
-                None => self.clock.advance(TRACEROUTE_TIMEOUT_MS, self.sim),
+                None => self.clock.advance(TRACEROUTE_TIMEOUT_MS, self.sim, ctx),
             }
             self.counters
-                .add(ProbeKind::CacheBytes, TRACEROUTE_ENTRY_BYTES);
+                .add(ProbeKind::CacheBytes, TRACEROUTE_ENTRY_BYTES, ctx);
             self.cache.put_traceroute(self.sim, src, dst, r.clone());
             return r;
         }
@@ -713,15 +760,16 @@ mod tests {
 
     #[test]
     fn counters_track_probe_kinds() {
+        let mut ctx = TaskCtx::default();
         let s = sim();
         let p = Prober::new(&s);
         let vp0 = s.topo().vp_sites[0].host;
         let vp1 = s.topo().vp_sites[1].host;
         let vp2 = s.topo().vp_sites[2].host;
-        p.ping(vp0, vp1);
-        p.rr_ping(vp0, vp1);
-        p.spoofed_rr_batch(&[(vp0, vp1), (vp1, vp0)], vp2);
-        p.traceroute(vp0, vp1);
+        p.ping(&mut ctx, vp0, vp1);
+        p.rr_ping(&mut ctx, vp0, vp1);
+        p.spoofed_rr_batch(&mut ctx, &[(vp0, vp1), (vp1, vp0)], vp2);
+        p.traceroute(&mut ctx, vp0, vp1);
         let snap = p.counters().snapshot();
         assert_eq!(snap.ping, 1);
         assert_eq!(snap.rr, 1);
@@ -734,25 +782,27 @@ mod tests {
 
     #[test]
     fn cache_avoids_repeat_probes() {
+        let mut ctx = TaskCtx::default();
         let s = sim();
         let p = Prober::new(&s);
         let vp0 = s.topo().vp_sites[0].host;
         let vp1 = s.topo().vp_sites[1].host;
-        let a = p.rr_ping(vp0, vp1);
+        let a = p.rr_ping(&mut ctx, vp0, vp1);
         let before = p.counters().snapshot();
-        let b = p.rr_ping(vp0, vp1);
+        let b = p.rr_ping(&mut ctx, vp0, vp1);
         let after = p.counters().snapshot();
         assert_eq!(a, b);
         assert_eq!(before.rr, after.rr, "second call must hit the cache");
 
         // With caching disabled, the probe is re-sent.
         let p2 = p.with_cache_enabled(false);
-        p2.rr_ping(vp0, vp1);
+        p2.rr_ping(&mut ctx, vp0, vp1);
         assert_eq!(p.counters().snapshot().rr, after.rr + 1);
     }
 
     #[test]
     fn cache_disabled_prober_does_not_write_cache() {
+        let mut ctx = TaskCtx::default();
         // Regression: a cache-ablation prober used to *write* its results
         // into the shared cache, so the supposedly cache-less run warmed
         // the cache for everyone else and skewed the Table 4 ablation.
@@ -762,12 +812,12 @@ mod tests {
         let vp0 = s.topo().vp_sites[0].host;
         let vp1 = s.topo().vp_sites[1].host;
         let vp2 = s.topo().vp_sites[2].host;
-        ablated.rr_ping(vp0, vp1);
-        ablated.spoofed_rr_batch(&[(vp1, vp2)], vp0);
+        ablated.rr_ping(&mut ctx, vp0, vp1);
+        ablated.spoofed_rr_batch(&mut ctx, &[(vp1, vp2)], vp0);
         // The caching prober must still have to send fresh probes.
         let before = p.counters().snapshot();
-        p.rr_ping(vp0, vp1);
-        p.spoofed_rr_batch(&[(vp1, vp2)], vp0);
+        p.rr_ping(&mut ctx, vp0, vp1);
+        p.spoofed_rr_batch(&mut ctx, &[(vp1, vp2)], vp0);
         let d = p.counters().snapshot().since(&before);
         assert_eq!(d.rr, 1, "ablated prober leaked an rr cache entry");
         assert_eq!(d.spoof_rr, 1, "ablated prober leaked a spoofed entry");
@@ -775,25 +825,27 @@ mod tests {
 
     #[test]
     fn batch_charges_one_timeout() {
+        let mut ctx = TaskCtx::default();
         let s = sim();
         let p = Prober::new(&s);
         let vp0 = s.topo().vp_sites[0].host;
         let vp1 = s.topo().vp_sites[1].host;
         let vp2 = s.topo().vp_sites[2].host;
         let t0 = p.clock().now_ms();
-        let b = p.spoofed_rr_batch(&[(vp1, vp2), (vp2, vp1)], vp0);
+        let b = p.spoofed_rr_batch(&mut ctx, &[(vp1, vp2), (vp2, vp1)], vp0);
         let dt = p.clock().now_ms() - t0;
         assert_eq!(b.timeouts, 1);
         assert!((dt - SPOOF_BATCH_TIMEOUT_MS).abs() < 1e-9);
         // Empty batch is free.
         let t1 = p.clock().now_ms();
-        let b = p.spoofed_rr_batch(&[], vp0);
+        let b = p.spoofed_rr_batch(&mut ctx, &[], vp0);
         assert_eq!(b.timeouts, 0);
         assert_eq!(p.clock().now_ms(), t1);
     }
 
     #[test]
     fn fully_cached_batch_is_free() {
+        let mut ctx = TaskCtx::default();
         // Regression: a batch answered entirely from cache used to charge
         // the full 10 s collection timeout anyway.
         let s = sim();
@@ -802,10 +854,10 @@ mod tests {
         let vp1 = s.topo().vp_sites[1].host;
         let vp2 = s.topo().vp_sites[2].host;
         let pairs = [(vp1, vp2), (vp2, vp1)];
-        let first = p.spoofed_rr_batch(&pairs, vp0);
+        let first = p.spoofed_rr_batch(&mut ctx, &pairs, vp0);
         let t0 = p.clock().now_ms();
         let before = p.counters().snapshot();
-        let second = p.spoofed_rr_batch(&pairs, vp0);
+        let second = p.spoofed_rr_batch(&mut ctx, &pairs, vp0);
         assert_eq!(second.timeouts, 0, "fully cached batch must cost 0");
         assert_eq!(p.clock().now_ms(), t0, "no virtual time may pass");
         assert_eq!(
@@ -818,26 +870,31 @@ mod tests {
 
     #[test]
     fn unanswered_probe_charges_timeout() {
+        let mut ctx = TaskCtx::default();
         let s = sim();
         let p = Prober::new(&s);
         let vp0 = s.topo().vp_sites[0].host;
         let t0 = p.clock().now_ms();
-        assert!(p.ping(vp0, Addr::new(10, 9, 9, 9)).is_none());
+        assert!(p.ping(&mut ctx, vp0, Addr::new(10, 9, 9, 9)).is_none());
         assert!((p.clock().now_ms() - t0 - PROBE_TIMEOUT_MS).abs() < 1e-9);
     }
 
     #[test]
     fn traceroute_packets_counted_per_hop() {
+        let mut ctx = TaskCtx::default();
         let s = sim();
         let p = Prober::new(&s);
         let vp0 = s.topo().vp_sites[0].host;
         let vp1 = s.topo().vp_sites[1].host;
-        let t = p.traceroute_fresh(vp0, vp1).expect("VPs reachable");
+        let t = p
+            .traceroute_fresh(&mut ctx, vp0, vp1)
+            .expect("VPs reachable");
         assert_eq!(p.counters().snapshot().traceroute_pkts, t.hops.len() as u64);
     }
 
     #[test]
     fn retries_recover_lossy_probes() {
+        let mut ctx = TaskCtx::default();
         let mut cfg = SimConfig::tiny();
         cfg.faults.probe_loss = 0.4;
         let s = Sim::build(cfg, 23);
@@ -845,12 +902,16 @@ mod tests {
         let vp1 = s.topo().vp_sites[1].host;
         // Without retries some rr_pings to a responsive VP host are lost…
         let p0 = Prober::new(&s).with_cache_enabled(false);
-        let lost_once = (0..40).filter(|_| p0.rr_ping(vp0, vp1).is_none()).count();
+        let lost_once = (0..40)
+            .filter(|_| p0.rr_ping(&mut ctx, vp0, vp1).is_none())
+            .count();
         assert!(lost_once > 0, "loss rate 0.4 lost nothing in 40 probes");
         assert!(p0.counters().snapshot().lost > 0);
         // …while a generous budget recovers (virtually) all of them.
         let p6 = p0.with_retry_policy(RetryPolicy::uniform(6));
-        let lost_retried = (0..40).filter(|_| p6.rr_ping(vp0, vp1).is_none()).count();
+        let lost_retried = (0..40)
+            .filter(|_| p6.rr_ping(&mut ctx, vp0, vp1).is_none())
+            .count();
         assert!(
             lost_retried < lost_once,
             "budget 6 ({lost_retried} lost) must beat budget 1 ({lost_once} lost)"
@@ -860,6 +921,7 @@ mod tests {
 
     #[test]
     fn outcome_distinguishes_transient_from_unanswered() {
+        let mut ctx = TaskCtx::default();
         let mut cfg = SimConfig::tiny();
         cfg.faults.probe_loss = 1.0; // every attempt lost
         let s = Sim::build(cfg, 24);
@@ -867,7 +929,7 @@ mod tests {
         let vp0 = s.topo().vp_sites[0].host;
         let vp1 = s.topo().vp_sites[1].host;
         assert_eq!(
-            p.rr_ping_outcome(vp0, vp1),
+            p.rr_ping_outcome(&mut ctx, vp0, vp1),
             Err(ProbeLoss::Transient),
             "total loss must be attributed to faults"
         );
@@ -878,7 +940,7 @@ mod tests {
         let vp = s2.topo().vp_sites[0].host;
         let before = p2.counters().snapshot();
         assert_eq!(
-            p2.rr_ping_outcome(vp, Addr::new(10, 9, 9, 9)),
+            p2.rr_ping_outcome(&mut ctx, vp, Addr::new(10, 9, 9, 9)),
             Err(ProbeLoss::Unanswered)
         );
         let d = p2.counters().snapshot().since(&before);
@@ -888,6 +950,7 @@ mod tests {
 
     #[test]
     fn batch_retry_rounds_charge_per_round() {
+        let mut ctx = TaskCtx::default();
         let mut cfg = SimConfig::tiny();
         cfg.faults.probe_loss = 1.0;
         let s = Sim::build(cfg, 25);
@@ -896,7 +959,7 @@ mod tests {
         let vp1 = s.topo().vp_sites[1].host;
         let vp2 = s.topo().vp_sites[2].host;
         let t0 = p.clock().now_ms();
-        let b = p.spoofed_rr_batch(&[(vp1, vp2)], vp0);
+        let b = p.spoofed_rr_batch(&mut ctx, &[(vp1, vp2)], vp0);
         assert_eq!(b.timeouts, 3, "every round re-collects the lost pair");
         assert!((p.clock().now_ms() - t0 - 3.0 * SPOOF_BATCH_TIMEOUT_MS).abs() < 1e-9);
         assert!(b.replies[0].is_none());
@@ -915,12 +978,13 @@ mod more_tests {
 
     #[test]
     fn ts_batches_account_and_charge() {
+        let mut ctx = TaskCtx::default();
         let s = Sim::build(SimConfig::tiny(), 22);
         let p = Prober::new(&s);
         let vps = &s.topo().vp_sites;
         let t0 = p.clock().now_ms();
         let probes = vec![(vps[1].host, vps[2].host, vec![vps[2].host])];
-        let out = p.spoofed_ts_batch(&probes, vps[0].host);
+        let out = p.spoofed_ts_batch(&mut ctx, &probes, vps[0].host);
         assert_eq!(out.len(), 1);
         assert_eq!(p.counters().snapshot().spoof_ts, 1);
         assert!((p.clock().now_ms() - t0 - crate::clock::SPOOF_BATCH_TIMEOUT_MS).abs() < 1e-9);
@@ -928,30 +992,59 @@ mod more_tests {
 
     #[test]
     fn cache_disabled_prober_shares_counters() {
+        let mut ctx = TaskCtx::default();
         let s = Sim::build(SimConfig::tiny(), 22);
         let p = Prober::new(&s);
         let q = p.with_cache_enabled(false);
         let vps = &s.topo().vp_sites;
-        p.ping(vps[0].host, vps[1].host);
-        q.ping(vps[0].host, vps[1].host);
+        p.ping(&mut ctx, vps[0].host, vps[1].host);
+        q.ping(&mut ctx, vps[0].host, vps[1].host);
         assert_eq!(p.counters().snapshot().ping, 2, "counters are shared");
     }
 
     #[test]
     fn traceroute_cache_respects_virtual_ttl() {
+        let mut ctx = TaskCtx::default();
         let s = Sim::build(SimConfig::tiny(), 22);
         let p = Prober::new(&s);
         let vps = &s.topo().vp_sites;
-        p.traceroute(vps[0].host, vps[1].host);
+        p.traceroute(&mut ctx, vps[0].host, vps[1].host);
         let before = p.counters().snapshot().traceroutes;
-        p.traceroute(vps[0].host, vps[1].host);
+        p.traceroute(&mut ctx, vps[0].host, vps[1].host);
         assert_eq!(p.counters().snapshot().traceroutes, before, "cache hit");
         s.advance_hours(25.0); // beyond the one-day TTL
-        p.traceroute(vps[0].host, vps[1].host);
+        p.traceroute(&mut ctx, vps[0].host, vps[1].host);
         assert_eq!(
             p.counters().snapshot().traceroutes,
             before + 1,
             "expired entry must be re-measured"
         );
+    }
+
+    #[test]
+    fn concurrent_cache_fills_are_single_flight() {
+        // Tasks on different threads asking for the same uncached key at
+        // once must probe it once between them: the others replay the
+        // entry, so a campaign's probe total does not depend on how its
+        // tasks overlapped.
+        let s = Sim::build(SimConfig::tiny(), 21);
+        let p = Prober::new(&s);
+        let vps: Vec<Addr> = s.topo().vp_sites.iter().map(|v| v.host).collect();
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    let mut ctx = TaskCtx::default();
+                    barrier.wait();
+                    p.traceroute(&mut ctx, vps[0], vps[1]);
+                    p.rr_ping(&mut ctx, vps[0], vps[1]);
+                    p.spoofed_rr_batch(&mut ctx, &[(vps[0], vps[1]), (vps[1], vps[0])], vps[2]);
+                });
+            }
+        });
+        let snap = p.counters().snapshot();
+        assert_eq!(snap.traceroutes, 1);
+        assert_eq!(snap.rr, 1);
+        assert_eq!(snap.spoof_rr, 2);
     }
 }

@@ -7,6 +7,7 @@ use crate::store::ResultStore;
 use crate::users::{ApiKey, RateLimits, UserDb, UserError};
 use revtr::{LoopConfig, RevtrResult, RevtrSystem};
 use revtr_netsim::{Addr, TraceResult};
+use revtr_probing::TaskCtx;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -189,7 +190,10 @@ impl<'s> RevtrService<'s> {
         // source can't receive RR packets, Reverse Traceroute can't work.
         let vp = self.system.vps().first().copied();
         let reachable = match vp {
-            Some(vp) => self.system.prober().rr_ping(vp, src).is_some(),
+            Some(vp) => {
+                let mut ctx = TaskCtx::default();
+                self.system.prober().rr_ping(&mut ctx, vp, src).is_some()
+            }
             None => false,
         };
         if !reachable {
@@ -243,7 +247,8 @@ impl<'s> RevtrService<'s> {
         drop(permit);
         self.store.push(&reverse);
         let forward = if opts.with_forward_traceroute {
-            self.system.prober().traceroute_fresh(src, dst)
+            let mut ctx = TaskCtx::default();
+            self.system.prober().traceroute_fresh(&mut ctx, src, dst)
         } else {
             None
         };

@@ -4,7 +4,7 @@
 use revtr::EngineConfig;
 use revtr_atlas::select_atlas_probes;
 use revtr_netsim::{Addr, ScenarioConfig, ScenarioProfile, Sim, SimConfig};
-use revtr_probing::Prober;
+use revtr_probing::{Prober, TaskCtx};
 use revtr_service::{RateLimits, RevtrService, ServiceError, UserError};
 use revtr_vpselect::{Heuristics, IngressDb};
 use std::sync::Arc;
@@ -124,8 +124,9 @@ fn daily_quota_resets_across_unflushed_day_boundary() {
     let clock = service.system().prober().clock();
     clock.flush(&sim);
     let short_of_midnight = 24.0 - sim.now_hours() - 30_000.0 / 3_600_000.0;
-    clock.advance(short_of_midnight * 3_600_000.0, &sim);
-    clock.advance(45_000.0, &sim);
+    let mut ctx = TaskCtx::default();
+    clock.advance(short_of_midnight * 3_600_000.0, &sim, &mut ctx);
+    clock.advance(45_000.0, &sim, &mut ctx);
     assert!(
         sim.now_hours() < 24.0,
         "flushed clock must still lag in day 0 (got {})",

@@ -25,7 +25,7 @@ const N_SHARDS: usize = 8;
 
 /// Per-span cost delta attached at stage exit: what the span *consumed*
 /// beyond virtual time. All three are counter diffs computed by the
-/// caller (the engine) from its per-thread probe-counter snapshot.
+/// caller (the engine) from the request's own probe counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpanCost {
     /// Event-loop steps processed while the span was open.

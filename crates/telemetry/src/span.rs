@@ -8,9 +8,9 @@
 //! [`MetricsRegistry`] and [`Journal`].
 //!
 //! [`RequestScope`] records one request's span tree. All timestamps are
-//! *virtual milliseconds supplied by the caller* (per-thread simulated
-//! time, so spans are worker-count-invariant); this module never reads
-//! `std::time`.
+//! *virtual milliseconds supplied by the caller* (the request's own
+//! simulated time, so spans are worker-count-invariant); this module
+//! never reads `std::time`.
 
 use crate::journal::{Journal, RequestRecord, SpanRecord};
 use crate::mix_key;
@@ -154,7 +154,7 @@ impl Telemetry {
     }
 
     /// Open a request scope for `(dst, src)` with its virtual-time origin
-    /// (the caller's per-thread clock reading at request start). Inactive
+    /// (the request's own clock reading at its start). Inactive
     /// when disabled.
     pub fn request(&self, dst: u32, src: u32, origin_ms: f64) -> RequestScope {
         RequestScope {

@@ -16,7 +16,7 @@
 use crate::parse::{path_view, Heuristics};
 use revtr_netsim::hash::mix3;
 use revtr_netsim::{Addr, PrefixId};
-use revtr_probing::Prober;
+use revtr_probing::{Prober, TaskCtx};
 use std::collections::HashMap;
 
 /// Maximum host addresses ping-scanned per prefix when hunting for
@@ -235,9 +235,12 @@ pub fn probe_prefix(prober: &Prober<'_>, vps: &[Addr], p: PrefixId, h: Heuristic
         Some(&v) => v,
         None => return PrefixInfo::default(),
     };
+    // The survey is background work, not part of any request: its charges
+    // land in the shared totals and a throwaway ctx.
+    let mut ctx = TaskCtx::default();
     let mut dests: Vec<Addr> = Vec::new();
     for cand in sim.host_addrs(p).take(DEST_SCAN_LIMIT) {
-        if prober.ping(pinger, cand).is_some() {
+        if prober.ping(&mut ctx, pinger, cand).is_some() {
             dests.push(cand);
             if dests.len() == 2 {
                 break;
@@ -256,7 +259,7 @@ pub fn probe_prefix(prober: &Prober<'_>, vps: &[Addr], p: PrefixId, h: Heuristic
     for &vp in vps {
         let mut per_dest: Vec<crate::parse::PathView> = Vec::new();
         for &d in &dests {
-            if let Some(r) = prober.rr_ping(vp, d) {
+            if let Some(r) = prober.rr_ping(&mut ctx, vp, d) {
                 per_dest.push(path_view(&r.slots, prefix, h));
             }
         }
@@ -451,11 +454,12 @@ pub fn third_destination_consistent(
 ) -> Option<bool> {
     let sim = prober.sim();
     let prefix = sim.topo().prefix(p).prefix;
+    let mut ctx = TaskCtx::default();
     let third = sim
         .host_addrs(p)
         .filter(|a| !info.dests.contains(a))
         .take(DEST_SCAN_LIMIT)
-        .find(|&a| prober.ping(vps[0], a).is_some())?;
+        .find(|&a| prober.ping(&mut ctx, vps[0], a).is_some())?;
     let known: std::collections::HashSet<Addr> = info
         .views
         .values()
@@ -469,7 +473,7 @@ pub fn third_destination_consistent(
     let mut checked = 0;
     let mut consistent = 0;
     for &vp in vps {
-        let Some(r) = prober.rr_ping(vp, third) else {
+        let Some(r) = prober.rr_ping(&mut ctx, vp, third) else {
             continue;
         };
         let view = path_view(&r.slots, prefix, h);

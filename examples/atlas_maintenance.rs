@@ -7,7 +7,7 @@
 use revtr::{EngineConfig, RevtrSystem};
 use revtr_atlas::select_atlas_probes;
 use revtr_netsim::{Addr, Sim, SimConfig};
-use revtr_probing::Prober;
+use revtr_probing::{Prober, TaskCtx};
 use revtr_vpselect::{Heuristics, IngressDb};
 use std::sync::Arc;
 
@@ -47,6 +47,7 @@ fn main() {
         .collect();
     let mut intersected = 0usize;
     let mut stale = 0usize;
+    let mut ctx = TaskCtx::default();
     for (i, &d) in dests.iter().enumerate() {
         sim.advance_hours(24.0 / dests.len() as f64);
         let r = system.measure(d, src);
@@ -57,9 +58,10 @@ fn main() {
         // Verify the intersected trace against a fresh re-measurement.
         let atlas = system.atlas(src);
         let trace = &atlas.traces[t];
-        if let (Some(hop_addr), Some(fresh)) =
-            (trace.hops[h], prober.traceroute_fresh(trace.vp, src))
-        {
+        if let (Some(hop_addr), Some(fresh)) = (
+            trace.hops[h],
+            prober.traceroute_fresh(&mut ctx, trace.vp, src),
+        ) {
             if !fresh.responsive_hops().any(|x| x == hop_addr) {
                 stale += 1;
                 println!(

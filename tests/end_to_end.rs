@@ -4,7 +4,7 @@
 use revtr_suite::aliasing::Ip2As;
 use revtr_suite::atlas::select_atlas_probes;
 use revtr_suite::netsim::{Addr, Sim, SimConfig};
-use revtr_suite::probing::Prober;
+use revtr_suite::probing::{Prober, TaskCtx};
 use revtr_suite::revtr::{EngineConfig, RevtrSystem, Status};
 use revtr_suite::service::{RateLimits, RevtrService};
 use revtr_suite::vpselect::{Heuristics, IngressDb};
@@ -158,11 +158,12 @@ fn churn_changes_routes_but_not_reachability() {
     cfg.behavior.churn_per_hour = 0.05;
     let sim = Sim::build(cfg, 76);
     let prober = Prober::new(&sim);
+    let mut ctx = TaskCtx::default();
     let src = sim.topo().vp_sites[0].host;
     let dests = destinations(&sim, 30);
     let before: Vec<_> = dests
         .iter()
-        .map(|&d| prober.traceroute_fresh(src, d).map(|t| t.hops))
+        .map(|&d| prober.traceroute_fresh(&mut ctx, src, d).map(|t| t.hops))
         .collect();
     // A week of heavy churn.
     for _ in 0..24 * 7 {
@@ -170,7 +171,7 @@ fn churn_changes_routes_but_not_reachability() {
     }
     let mut changed = 0;
     for (i, &d) in dests.iter().enumerate() {
-        let after = prober.traceroute_fresh(src, d).map(|t| t.hops);
+        let after = prober.traceroute_fresh(&mut ctx, src, d).map(|t| t.hops);
         assert_eq!(after.is_some(), before[i].is_some(), "reachability flapped");
         if after != before[i] {
             changed += 1;

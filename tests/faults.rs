@@ -9,7 +9,7 @@
 use revtr_suite::atlas::select_atlas_probes;
 use revtr_suite::netsim::sim::PktMeta;
 use revtr_suite::netsim::{Addr, FaultConfig, RouterId, Sim, SimConfig};
-use revtr_suite::probing::{ProbeLoss, Prober, RetryPolicy};
+use revtr_suite::probing::{ProbeLoss, Prober, RetryPolicy, TaskCtx};
 use revtr_suite::revtr::{EngineConfig, RevtrResult, RevtrSystem};
 use revtr_suite::vpselect::{Heuristics, IngressDb};
 use std::sync::Arc;
@@ -227,14 +227,18 @@ fn unanswered_probes_are_never_retried() {
         .with_retry_policy(RetryPolicy::uniform(5));
     let vp = sim.topo().vp_sites[0].host;
     let dark = Addr::new(10, 9, 9, 9); // unallocated: never answers
+    let mut ctx = TaskCtx::default();
     let before = p.counters().snapshot();
-    assert_eq!(p.rr_ping_outcome(vp, dark), Err(ProbeLoss::Unanswered));
     assert_eq!(
-        p.ts_ping_outcome(vp, dark, &[dark]),
+        p.rr_ping_outcome(&mut ctx, vp, dark),
         Err(ProbeLoss::Unanswered)
     );
-    assert!(p.ping(vp, dark).is_none());
-    assert!(p.traceroute_fresh(vp, dark).is_none());
+    assert_eq!(
+        p.ts_ping_outcome(&mut ctx, vp, dark, &[dark]),
+        Err(ProbeLoss::Unanswered)
+    );
+    assert!(p.ping(&mut ctx, vp, dark).is_none());
+    assert!(p.traceroute_fresh(&mut ctx, vp, dark).is_none());
     let d = p.counters().snapshot().since(&before);
     assert_eq!(d.rr, 1, "unanswered RR re-sent");
     assert_eq!(d.ts, 1, "unanswered TS re-sent");
@@ -260,12 +264,13 @@ fn retry_meta_counters_reconcile_across_a_faulted_campaign() {
         .with_retry_policy(RetryPolicy::uniform(4));
     let vps = &sim.topo().vp_sites;
     let responsive: Vec<Addr> = destinations(&sim, 30);
+    let mut ctx = TaskCtx::default();
 
     // Unicast RR leg.
     let before = p.counters().snapshot();
     let mut transient = 0u64;
     for &d in &responsive {
-        match p.rr_ping_outcome(vps[0].host, d) {
+        match p.rr_ping_outcome(&mut ctx, vps[0].host, d) {
             Ok(_) | Err(ProbeLoss::Unanswered) => {}
             Err(ProbeLoss::Transient) => transient += 1,
         }
@@ -282,7 +287,7 @@ fn retry_meta_counters_reconcile_across_a_faulted_campaign() {
         .map(|(i, &d)| (vps[1 + i % (vps.len() - 1)].host, d))
         .collect();
     let before = p.counters().snapshot();
-    let batch = p.spoofed_rr_batch(&pairs, vps[0].host);
+    let batch = p.spoofed_rr_batch(&mut ctx, &pairs, vps[0].host);
     let d = p.counters().snapshot().since(&before);
     let still_transient = batch.transient.iter().filter(|&&t| t).count() as u64;
     assert_eq!(d.spoof_rr, pairs.len() as u64 + d.retries, "sends identity");

@@ -19,7 +19,7 @@ use revtr_suite::audit::Auditor;
 use revtr_suite::netsim::sim::PktMeta;
 use revtr_suite::netsim::{Addr, ScenarioConfig, ScenarioProfile, Sim, SimConfig};
 use revtr_suite::probing::{Prober, Telemetry};
-use revtr_suite::revtr::{BatchPolicy, EngineConfig, LoopConfig, RevtrSystem, Status};
+use revtr_suite::revtr::{EngineConfig, LoopConfig, RevtrSystem, Status};
 use revtr_suite::vpselect::{Heuristics, IngressDb};
 use std::sync::Arc;
 
@@ -218,7 +218,6 @@ fn run_campaign(sim: &Sim, harden: bool) -> (Vec<revtr_suite::revtr::RevtrResult
             &pairs,
             LoopConfig {
                 quantum: 64,
-                policy: BatchPolicy::FillFirst,
                 workers: 1,
             },
         )

@@ -20,7 +20,7 @@ use revtr_suite::atlas::select_atlas_probes;
 use revtr_suite::audit::Auditor;
 use revtr_suite::netsim::{Addr, FaultConfig, ScenarioConfig, ScenarioProfile, Sim, SimConfig};
 use revtr_suite::probing::{Prober, RetryPolicy, Telemetry};
-use revtr_suite::revtr::{BatchPolicy, EngineConfig, HopMethod, LoopConfig, RevtrSystem, Status};
+use revtr_suite::revtr::{EngineConfig, HopMethod, LoopConfig, RevtrResult, RevtrSystem, Status};
 use revtr_suite::vpselect::{Heuristics, IngressDb};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -265,12 +265,39 @@ fn event_loop_quantum_preserves_stitched_paths() {
                 &sim,
                 LoopConfig {
                     quantum,
-                    policy: BatchPolicy::FillFirst,
                     workers: 1,
                 },
             );
             assert_arms_identical(&format!("event loop q{quantum}"), seed, &base, &looped);
         }
+    }
+}
+
+#[test]
+fn event_loop_batch_policy_preserves_stitched_paths() {
+    // Fill-first rounds (quantum 8) and deadline-first dispatch (quantum
+    // 1, a single earliest event per round) dispatch the same per-request
+    // step sequences in different global orders; the stitched paths must
+    // be bit-identical either way.
+    for seed in SEEDS {
+        let sim = Sim::build(base_cfg(), seed);
+        let base = run_arm(&sim, &Arm::baseline());
+        let fill = run_event_loop(
+            &sim,
+            LoopConfig {
+                quantum: 8,
+                workers: 1,
+            },
+        );
+        let deadline = run_event_loop(
+            &sim,
+            LoopConfig {
+                quantum: 1,
+                workers: 1,
+            },
+        );
+        assert_arms_identical("fill-first", seed, &base, &fill);
+        assert_arms_identical("deadline-first", seed, &base, &deadline);
     }
 }
 
@@ -289,7 +316,6 @@ fn event_loop_dispatch_workers_preserve_stitched_paths() {
                 &sim,
                 LoopConfig {
                     quantum: 64,
-                    policy: BatchPolicy::FillFirst,
                     workers,
                 },
             );
@@ -299,31 +325,51 @@ fn event_loop_dispatch_workers_preserve_stitched_paths() {
 }
 
 #[test]
-fn event_loop_batch_policy_preserves_stitched_paths() {
-    // Fill-first and deadline-first round formation dispatch the same
-    // per-request step sequences in different global orders; the
-    // stitched paths must be bit-identical either way.
+fn measure_is_independent_of_the_calling_threads_history() {
+    // A measurement is charged only its own virtual time and probes, so
+    // `measure` must return the same result — duration bits and probe
+    // counts included — on a thread that already ran the ingress survey
+    // and atlas bootstrap as on a fresh one.
     for seed in SEEDS {
-        let sim = Sim::build(base_cfg(), seed);
-        let base = run_arm(&sim, &Arm::baseline());
-        let fill = run_event_loop(
-            &sim,
-            LoopConfig {
-                quantum: 8,
-                policy: BatchPolicy::FillFirst,
-                workers: 1,
-            },
-        );
-        let deadline = run_event_loop(
-            &sim,
-            LoopConfig {
-                quantum: 8,
-                policy: BatchPolicy::DeadlineFirst,
-                workers: 1,
-            },
-        );
-        assert_arms_identical("fill-first", seed, &base, &fill);
-        assert_arms_identical("deadline-first", seed, &base, &deadline);
+        let sims = [Sim::build(base_cfg(), seed), Sim::build(base_cfg(), seed)];
+        let systems: Vec<RevtrSystem<'_>> = sims
+            .iter()
+            .map(|sim| {
+                let prober = Prober::new(sim);
+                let vps: Vec<Addr> = sim.topo().vp_sites.iter().map(|v| v.host).collect();
+                let prefixes: Vec<_> = sim.topo().prefixes.iter().map(|p| p.id).collect();
+                let ingress =
+                    Arc::new(IngressDb::build(&prober, &vps, &prefixes, Heuristics::FULL));
+                let pool = select_atlas_probes(sim, 100, 6);
+                let sys = RevtrSystem::new(prober, EngineConfig::revtr2(), vps, ingress, pool);
+                sys.register_source(workload(sim, 24).0);
+                sys
+            })
+            .collect();
+        let (src, dests) = workload(&sims[0], 24);
+        let measure_all = |sys: &RevtrSystem<'_>| -> Vec<RevtrResult> {
+            dests.iter().map(|&d| sys.measure(d, src)).collect()
+        };
+        let here = measure_all(&systems[0]);
+        let fresh = std::thread::scope(|s| s.spawn(|| measure_all(&systems[1])).join())
+            .expect("fresh-thread measurement panicked");
+        assert_eq!(here.len(), fresh.len());
+        for (i, (a, b)) in here.iter().zip(&fresh).enumerate() {
+            assert_eq!(
+                a.stats.duration_s.to_bits(),
+                b.stats.duration_s.to_bits(),
+                "request {i}: duration depends on the calling thread (seed {seed})"
+            );
+            assert_eq!(
+                a.stats.probes, b.stats.probes,
+                "request {i}: probe counts depend on the calling thread (seed {seed})"
+            );
+            assert_eq!(
+                serde_json::to_string(a).expect("result serializes"),
+                serde_json::to_string(b).expect("result serializes"),
+                "request {i}: result depends on the calling thread (seed {seed})"
+            );
+        }
     }
 }
 
@@ -431,7 +477,7 @@ fn telemetry_metrics_and_journal_are_deterministic() {
         // (b) Worker-count invariance: once the measurement cache is warm
         // (clones of one prober share cache, counters, and clock), a
         // serial and an 8-worker campaign record identical telemetry —
-        // per-thread virtual time keeps span durations interleaving-free.
+        // per-task virtual time keeps span durations interleaving-free.
         let sim = Sim::build(base_cfg(), seed);
         let shared = Prober::new(&sim);
         let _ = run_with_prober(&sim, shared.clone(), 1); // warm caches, no tracing
@@ -565,7 +611,6 @@ fn resource_profiling_is_identity_neutral_and_worker_invariant() {
                     &pairs,
                     LoopConfig {
                         quantum: 64,
-                        policy: BatchPolicy::FillFirst,
                         workers,
                     },
                 )
@@ -694,7 +739,6 @@ fn stop_set_toggle_preserves_stitched_paths_across_dispatch_workers() {
                 &pairs,
                 LoopConfig {
                     quantum: 64,
-                    policy: BatchPolicy::FillFirst,
                     workers: 1,
                 },
             )
@@ -719,7 +763,6 @@ fn stop_set_toggle_preserves_stitched_paths_across_dispatch_workers() {
                     &pairs,
                     LoopConfig {
                         quantum: 64,
-                        policy: BatchPolicy::FillFirst,
                         workers,
                     },
                 )
@@ -753,7 +796,6 @@ fn stop_set_reuse_is_audit_sound_and_coverage_monotone() {
         let pairs: Vec<(Addr, Addr)> = dests.iter().map(|&d| (d, src)).collect();
         let lc = || LoopConfig {
             quantum: 64,
-            policy: BatchPolicy::FillFirst,
             workers: 4,
         };
         let first = sys.run_campaign(&pairs, lc()).expect("no task panicked");
@@ -809,7 +851,6 @@ fn run_scenario_arm(
         &pairs,
         LoopConfig {
             quantum: 64,
-            policy: BatchPolicy::FillFirst,
             workers,
         },
     )
