@@ -197,10 +197,14 @@ done
 echo "== metrics golden gate (release, standard seed 42) =="
 cargo test -q --release -p revtr-eval --test metrics_golden -- --ignored
 
-echo "== cargo clippy --all-targets -- -D warnings =="
-# -D clippy::disallowed-methods enforces clippy.toml: no wall-clock
-# sleeps, no free thread spawns (the engine is an event loop).
-cargo clippy --all-targets -- -D warnings -D clippy::disallowed-methods
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+# Every crate, bench and test target except the vendored dependency
+# shims. -D clippy::disallowed-methods enforces clippy.toml: no
+# wall-clock sleeps, no free thread spawns (the engine is an event loop).
+cargo clippy --workspace --all-targets \
+  --exclude criterion --exclude rand --exclude proptest --exclude parking_lot \
+  --exclude serde --exclude serde_derive --exclude serde_json \
+  -- -D warnings -D clippy::disallowed-methods
 
 # The audit crate is the arbiter of everyone else's soundness, and the
 # telemetry crate sits inside every hot path: both are additionally held

@@ -14,7 +14,8 @@
 //! notes, not failures (any intended behaviour change re-fingerprints —
 //! the baseline-update procedure in DESIGN.md §8 covers refreshing them).
 
-use crate::monitor::{self, MonitorConfig};
+use crate::campaign::Scale;
+use crate::monitor;
 use serde::Value;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -26,7 +27,8 @@ pub struct BenchReport {
     pub scale: String,
     /// Master seed.
     pub seed: u64,
-    /// Wall-clock milliseconds for the campaign (informational only).
+    /// Wall-clock milliseconds of the whole monitored run: simulator
+    /// build, §4.3 survey, campaign and judgment (informational only).
     pub wall_ms: f64,
     /// Campaign virtual milliseconds (gated).
     pub virtual_ms: f64,
@@ -120,32 +122,24 @@ impl BenchComparison {
     }
 }
 
-/// Run the clean monitored campaign at `scale_name`/`seed` and produce a
-/// report. Wall-clock time wraps exactly the campaign (not process
-/// startup).
-pub fn run(scale_name: &str, seed: u64, stop_sets: bool) -> BenchReport {
-    let cfg = MonitorConfig::clean(scale_name).with_stop_sets(stop_sets);
+/// Run the clean monitored campaign at `scale`/`seed` and produce a
+/// report. Wall-clock time wraps the whole [`monitor::run`] — simulator
+/// build, §4.3 survey, campaign and judgment — not process startup; the
+/// survey dominates it.
+pub fn run(scale: Scale, seed: u64, stop_sets: bool) -> BenchReport {
+    let mut spec = monitor::clean(scale, seed);
+    spec.engine.use_stop_sets = stop_sets;
     let started = Instant::now();
-    let m = match scale_name {
-        "standard" => monitor::standard_seeded(seed, &cfg),
-        _ => monitor::smoke_seeded(seed, &cfg),
-    };
+    let m = monitor::run(&spec);
     let wall_ms = started.elapsed().as_secs_f64() * 1000.0;
-    let derived = |key: &str| {
-        m.derived
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0)
-    };
     BenchReport {
-        scale: scale_name.to_string(),
+        scale: scale.name().to_string(),
         seed,
         wall_ms,
         virtual_ms: m.campaign_virtual_ms,
         requests: m.requests as u64,
-        coverage: derived("coverage"),
-        accuracy: derived("accuracy"),
+        coverage: m.value("coverage"),
+        accuracy: m.value("accuracy"),
         probes_by_kind: m
             .probes
             .by_kind()
@@ -194,8 +188,8 @@ pub fn run(scale_name: &str, seed: u64, stop_sets: bool) -> BenchReport {
             .filter(|(k, _)| k.starts_with("mem."))
             .map(|(k, v)| (k.clone(), *v as u64))
             .collect(),
-        events_per_revtr: derived("events_per_revtr"),
-        bytes_per_revtr: derived("bytes_per_revtr"),
+        events_per_revtr: m.value("events_per_revtr"),
+        bytes_per_revtr: m.value("bytes_per_revtr"),
         metrics_fingerprint: format!("{:#018x}", m.metrics_fingerprint),
         journal_fingerprint: format!("{:#018x}", m.journal_fingerprint),
     }

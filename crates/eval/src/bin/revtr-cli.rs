@@ -31,7 +31,7 @@ use revtr_atlas::select_atlas_probes;
 use revtr_eval::cliargs::{self, Flags};
 use revtr_eval::{
     audit, bench_report, economy, loadtest, metrics, monitor, profile, reproduce, robustness,
-    scenarios,
+    scenarios, CampaignSpec, Scale,
 };
 use revtr_netsim::{Addr, AsTier, ScenarioConfig, ScenarioProfile, Sim};
 use revtr_probing::Prober;
@@ -198,7 +198,7 @@ fn cmd_reproduce(flags: &Flags) -> ExitCode {
         Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
-    let rep = reproduce::run(scale);
+    let rep = reproduce::run(scale.eval_scale(1));
     println!("{}", rep.render());
     if let Some(dir) = flags.out_dir() {
         match rep.save_tsvs(dir) {
@@ -213,10 +213,10 @@ fn cmd_reproduce(flags: &Flags) -> ExitCode {
 }
 
 fn cmd_robustness(flags: &Flags) -> ExitCode {
-    let report = match flags.scale_name() {
-        "smoke" => robustness::smoke(),
-        "standard" => robustness::standard(),
-        other => return flag_err(&format!("unknown scale {other:?}")),
+    let report = match flags.scale() {
+        Ok(Scale::Smoke) => robustness::smoke(),
+        Ok(Scale::Standard) => robustness::standard(),
+        Err(e) => return flag_err(&e),
     };
     println!("{}", report.table().render());
     println!("{}", report.figure().render());
@@ -245,15 +245,12 @@ fn cmd_audit(flags: &Flags) -> ExitCode {
         Ok(b) => b,
         Err(e) => return flag_err(&e),
     };
-    let default_seed = match flags.scale() {
-        Ok(s) => s.seed,
+    let mut spec = match flags.scale() {
+        Ok(scale) => CampaignSpec::new(scale, seed.unwrap_or(1)),
         Err(e) => return flag_err(&e),
     };
-    let report = match flags.scale_name() {
-        "smoke" => audit::smoke_seeded_stop_sets(seed.unwrap_or(default_seed), stop_sets),
-        "standard" => audit::standard_seeded_stop_sets(seed.unwrap_or(default_seed), stop_sets),
-        other => return flag_err(&format!("unknown scale {other:?}")),
-    };
+    spec.engine.use_stop_sets = stop_sets;
+    let report = audit::run(&spec);
     if let Some(s) = seed {
         println!("(master seed {s})");
     }
@@ -295,14 +292,9 @@ fn cmd_metrics(flags: &Flags) -> ExitCode {
         Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
-    let report = match flags.scale_name() {
-        "smoke" => seed
-            .map(metrics::smoke_seeded)
-            .unwrap_or_else(metrics::smoke),
-        "standard" => seed
-            .map(metrics::standard_seeded)
-            .unwrap_or_else(metrics::standard),
-        other => return flag_err(&format!("unknown scale {other:?}")),
+    let report = match flags.scale() {
+        Ok(scale) => metrics::run(scale, seed.unwrap_or(1)),
+        Err(e) => return flag_err(&e),
     };
     if let Some(s) = seed {
         println!("(master seed {s})");
@@ -325,11 +317,11 @@ fn cmd_profile(flags: &Flags) -> ExitCode {
         Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
-    let scale_name = match flags.scale() {
-        Ok(_) => flags.scale_name(),
+    let scale = match flags.scale() {
+        Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
-    let report = profile::run(scale_name, seed.unwrap_or(1));
+    let report = profile::run(scale, seed.unwrap_or(1));
     println!("{}", report.render());
     if let Some(dir) = flags.out_dir() {
         match report.save_exports(dir) {
@@ -351,8 +343,8 @@ fn cmd_monitor(flags: &Flags) -> ExitCode {
         Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
-    let scale_name = match flags.scale() {
-        Ok(_) => flags.scale_name(),
+    let scale = match flags.scale() {
+        Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
     let loss = match flags.get("loss").unwrap_or("0").parse::<f64>() {
@@ -363,7 +355,7 @@ fn cmd_monitor(flags: &Flags) -> ExitCode {
         Ok(b) if b >= 1 => b,
         _ => return flag_err("--budget must be a positive integer"),
     };
-    let mut cfg = monitor::MonitorConfig::faulted(scale_name, loss, budget);
+    let mut spec = monitor::faulted(scale, seed.unwrap_or(1), loss, budget);
     if let Some(name) = flags.get("scenario") {
         let Some(profile) = ScenarioProfile::from_name(name) else {
             return flag_err(&format!(
@@ -375,25 +367,26 @@ fn cmd_monitor(flags: &Flags) -> ExitCode {
             Ok(s) => s.unwrap_or_else(|| profile.default_severity()),
             Err(code) => return code,
         };
-        cfg = cfg.with_scenario(scale_name, ScenarioConfig::profile_at(profile, severity));
+        spec = monitor::with_scenario(spec, ScenarioConfig::profile_at(profile, severity));
     } else if flags.get("severity").is_some() {
         return flag_err("--severity requires --scenario");
     }
     match flags.get("harden").unwrap_or("off") {
-        "on" => cfg = cfg.with_harden(true),
+        "on" => spec.engine.harden = true,
         "off" => {}
         other => return flag_err(&format!("--harden must be on or off, got {other:?}")),
     }
     if let Some(ms) = flags.get("deadline-ms") {
         match ms.parse::<f64>() {
-            Ok(v) if v > 0.0 => cfg.watchdog_deadline_ms = v,
+            Ok(v) if v > 0.0 => {
+                if let Some(t) = spec.telemetry.as_mut() {
+                    t.watchdog_deadline_ms = Some(v);
+                }
+            }
             _ => return flag_err("--deadline-ms must be a positive number"),
         }
     }
-    let report = match scale_name {
-        "standard" => monitor::standard_seeded(seed.unwrap_or(1), &cfg),
-        _ => monitor::smoke_seeded(seed.unwrap_or(1), &cfg),
-    };
+    let report = monitor::run(&spec);
     if let Some(s) = seed {
         println!("(master seed {s})");
     }
@@ -433,8 +426,8 @@ fn cmd_scenario(flags: &Flags) -> ExitCode {
         Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
-    let scale_name = match flags.scale() {
-        Ok(_) => flags.scale_name(),
+    let scale = match flags.scale() {
+        Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
     let profiles: Vec<ScenarioProfile> = match flags.get("profile").unwrap_or("all") {
@@ -453,7 +446,7 @@ fn cmd_scenario(flags: &Flags) -> ExitCode {
         Ok(s) => s,
         Err(code) => return code,
     };
-    let report = scenarios::run(scale_name, seed.unwrap_or(1), &profiles, severity);
+    let report = scenarios::run(scale, seed.unwrap_or(1), &profiles, severity);
     if let Some(s) = seed {
         println!("(master seed {s})");
     }
@@ -479,15 +472,15 @@ fn cmd_bench_report(flags: &Flags) -> ExitCode {
         Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
-    let scale_name = match flags.scale() {
-        Ok(_) => flags.scale_name(),
+    let scale = match flags.scale() {
+        Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
     let stop_sets = match flags.stop_sets() {
         Ok(b) => b,
         Err(e) => return flag_err(&e),
     };
-    let report = bench_report::run(scale_name, seed.unwrap_or(1), stop_sets);
+    let report = bench_report::run(scale, seed.unwrap_or(1), stop_sets);
     let json = report.to_json();
     match flags.get("file") {
         Some(path) => {
@@ -537,8 +530,8 @@ fn cmd_economy(flags: &Flags) -> ExitCode {
         Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
-    let scale_name = match flags.scale() {
-        Ok(_) => flags.scale_name(),
+    let scale = match flags.scale() {
+        Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
     let min_cut = match flags
@@ -557,7 +550,7 @@ fn cmd_economy(flags: &Flags) -> ExitCode {
         Ok(f) if f >= 0.0 => f,
         _ => return flag_err("--tol-quality must be a non-negative number"),
     };
-    let report = economy::run(scale_name, seed.unwrap_or(1), min_cut, tol_quality);
+    let report = economy::run(scale, seed.unwrap_or(1), min_cut, tol_quality);
     println!("{}", report.render());
     if report.pass() {
         ExitCode::SUCCESS
@@ -567,29 +560,22 @@ fn cmd_economy(flags: &Flags) -> ExitCode {
 }
 
 fn cmd_engine_ab(flags: &Flags) -> ExitCode {
-    use revtr_eval::{throughput, EvalContext};
+    use revtr_eval::throughput;
     let seed = match flags.seed() {
         Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
-    let mut scale = match flags.scale() {
+    let scale = match flags.scale() {
         Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
-    if let Some(s) = seed {
-        scale.seed = s;
-    }
     let workers = match flags.get("workers").unwrap_or("8").parse::<usize>() {
         Ok(w) if w >= 1 => w,
         _ => return flag_err("--workers must be a positive integer"),
     };
-    let era = match flags.scale_name() {
-        "standard" => revtr_netsim::SimConfig::era_2020(),
-        _ => revtr_netsim::SimConfig::tiny(),
-    };
-    let ctx = EvalContext::new(era, scale);
-    let prober = ctx.prober();
-    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
+    let spec = CampaignSpec::new(scale, seed.unwrap_or(1));
+    let ctx = spec.context();
+    let campaign = spec.assemble(&ctx);
     // Tile the workload x4: at the base campaign's ~0.15 s wall a single
     // scheduler hiccup on a shared CI host is a 30% swing, drowning the
     // engines' real gap; at ~0.6 s per arm the noise amortizes while the
@@ -597,7 +583,7 @@ fn cmd_engine_ab(flags: &Flags) -> ExitCode {
     // measurement cache in both arms alike).
     let base = ctx.workload();
     let workload: Vec<_> = base.iter().copied().cycle().take(base.len() * 4).collect();
-    let ab = throughput::engine_ab(&ctx, &ingress, &workload, workers);
+    let ab = throughput::engine_ab(&ctx, &campaign.ingress, &workload, workers);
     let report = throughput::ThroughputReport {
         runs: vec![ab.threads, ab.events],
     };
@@ -630,8 +616,8 @@ fn cmd_loadtest(flags: &Flags) -> ExitCode {
         Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
-    let scale_name = match flags.scale() {
-        Ok(_) => flags.scale_name(),
+    let scale = match flags.scale() {
+        Ok(s) => s,
         Err(e) => return flag_err(&e),
     };
     let name = flags.get("pattern").unwrap_or("steady");
@@ -648,10 +634,7 @@ fn cmd_loadtest(flags: &Flags) -> ExitCode {
             _ => return flag_err("--duration must be a positive number of virtual hours"),
         }
     }
-    let report = match scale_name {
-        "standard" => loadtest::standard_seeded(seed.unwrap_or(1), &cfg),
-        _ => loadtest::smoke_seeded(seed.unwrap_or(1), &cfg),
-    };
+    let report = loadtest::run(scale, seed.unwrap_or(1), &cfg);
     if let Some(s) = seed {
         println!("(master seed {s})");
     }

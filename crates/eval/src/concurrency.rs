@@ -10,12 +10,9 @@
 //! with the loop reporting the full campaign in flight at peak. ci.sh
 //! runs this as a gate at 50 000.
 
-use crate::context::EvalContext;
-use revtr::{task_footprint_bytes, EngineConfig, LoopConfig};
+use crate::campaign::{CampaignSpec, Scale};
+use revtr::{task_footprint_bytes, LoopConfig};
 use revtr_netsim::Addr;
-use revtr_vpselect::Heuristics;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// What the concurrency smoke measured.
 #[derive(Clone, Copy, Debug)]
@@ -65,28 +62,25 @@ impl ConcurrencySmoke {
 /// measurement cache, which is exactly what lets a real deployment
 /// oversubscribe).
 pub fn run(target: usize, seed: u64) -> ConcurrencySmoke {
-    let mut scale = crate::context::EvalScale::smoke();
-    scale.seed = seed;
-    let ctx = EvalContext::new(revtr_netsim::SimConfig::tiny(), scale);
-    let prober = ctx.prober();
-    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-    let system = ctx.build_system(prober, EngineConfig::revtr2(), ingress);
+    let spec = CampaignSpec {
+        event_loop: LoopConfig::parallel(),
+        ..CampaignSpec::new(Scale::Smoke, seed)
+    };
+    let ctx = spec.context();
+    let campaign = spec.assemble(&ctx);
     let base = ctx.workload();
     let pairs: Vec<(Addr, Addr)> = base.iter().copied().cycle().take(target).collect();
     for &(_, src) in &base {
-        system.register_source(src);
+        campaign.system.register_source(src);
     }
-    let t0 = Instant::now();
-    let outcome = system
-        .run_campaign(&pairs, LoopConfig::parallel())
-        .expect("concurrency smoke measurement panicked");
+    let run = campaign.run(&pairs);
     ConcurrencySmoke {
         requests: pairs.len(),
-        completed: outcome.results.len(),
-        inflight_peak: outcome.inflight_peak,
-        events: outcome.events,
+        completed: run.outcome.results.len(),
+        inflight_peak: run.outcome.inflight_peak,
+        events: run.outcome.events,
         task_bytes: task_footprint_bytes(),
-        wall_s: t0.elapsed().as_secs_f64(),
+        wall_s: run.wall_s,
     }
 }
 

@@ -15,7 +15,9 @@
 //!
 //! [`Snapshot::measurement_probes`]: revtr_probing::Snapshot::measurement_probes
 
-use crate::monitor::{self, MonitorConfig};
+use crate::campaign::Scale;
+use crate::monitor;
+use revtr_probing::{CacheStats, StopSetSnapshot};
 use std::fmt::Write as _;
 
 /// The economy gate: the on-arm must cut measurement probes per revtr by
@@ -43,8 +45,10 @@ pub struct EconomyArm {
     pub coverage: f64,
     /// AS-soundness of compared complete paths.
     pub accuracy: f64,
-    /// Stop-set hits of any kind (0 for the off control).
-    pub stopset_hits: u64,
+    /// Measurement-cache stats at end of run.
+    pub cache: CacheStats,
+    /// Stop-set effectiveness counters (all-zero for the off control).
+    pub stopset: StopSetSnapshot,
     /// Campaign journal fingerprint.
     pub journal_fingerprint: u64,
 }
@@ -59,8 +63,8 @@ impl EconomyArm {
 /// The paired comparison and its gate parameters.
 #[derive(Clone, Debug)]
 pub struct EconomyReport {
-    /// Scale name ("smoke" / "standard").
-    pub scale: String,
+    /// Campaign scale.
+    pub scale: Scale,
     /// Master seed (both arms).
     pub seed: u64,
     /// The stop-sets-off control.
@@ -98,7 +102,8 @@ impl EconomyReport {
         let _ = writeln!(
             s,
             "probe economy A/B ({} scale, seed {}):",
-            self.scale, self.seed
+            self.scale.name(),
+            self.seed
         );
         for arm in [&self.off, &self.on] {
             let _ = writeln!(
@@ -112,7 +117,7 @@ impl EconomyReport {
                 arm.probes_per_revtr(),
                 arm.coverage,
                 arm.accuracy,
-                arm.stopset_hits
+                arm.stopset.total_hits()
             );
         }
         let _ = writeln!(
@@ -135,38 +140,30 @@ impl EconomyReport {
 }
 
 /// Run one arm of the A/B as a clean monitored campaign.
-fn arm(scale_name: &str, seed: u64, stop_sets: bool) -> EconomyArm {
-    let cfg = MonitorConfig::clean(scale_name).with_stop_sets(stop_sets);
-    let m = match scale_name {
-        "standard" => monitor::standard_seeded(seed, &cfg),
-        _ => monitor::smoke_seeded(seed, &cfg),
-    };
-    let derived = |key: &str| {
-        m.derived
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0)
-    };
+fn arm(scale: Scale, seed: u64, stop_sets: bool) -> EconomyArm {
+    let mut spec = monitor::clean(scale, seed);
+    spec.engine.use_stop_sets = stop_sets;
+    let m = monitor::run(&spec);
     EconomyArm {
         stop_sets,
         probes: m.probes.measurement_probes(),
         option_probes: m.probes.option_probes(),
         requests: m.requests as u64,
-        coverage: derived("coverage"),
-        accuracy: derived("accuracy"),
-        stopset_hits: m.stopset.total_hits(),
+        coverage: m.value("coverage"),
+        accuracy: m.value("accuracy"),
+        cache: m.cache,
+        stopset: m.stopset,
         journal_fingerprint: m.journal_fingerprint,
     }
 }
 
-/// Run the full A/B at `scale_name`/`seed` with explicit gate parameters.
-pub fn run(scale_name: &str, seed: u64, min_cut: f64, tol_quality: f64) -> EconomyReport {
+/// Run the full A/B at `scale`/`seed` with explicit gate parameters.
+pub fn run(scale: Scale, seed: u64, min_cut: f64, tol_quality: f64) -> EconomyReport {
     EconomyReport {
-        scale: scale_name.to_string(),
+        scale,
         seed,
-        off: arm(scale_name, seed, false),
-        on: arm(scale_name, seed, true),
+        off: arm(scale, seed, false),
+        on: arm(scale, seed, true),
         min_cut,
         tol_quality,
     }
@@ -178,10 +175,49 @@ mod tests {
 
     #[test]
     fn smoke_economy_cuts_probes_within_quality_bounds() {
-        let r = run("smoke", 1, DEFAULT_MIN_CUT, DEFAULT_TOL_QUALITY);
+        let r = run(Scale::Smoke, 1, DEFAULT_MIN_CUT, DEFAULT_TOL_QUALITY);
         assert!(r.pass(), "economy gate failed:\n{}", r.render());
-        assert!(r.on.stopset_hits > 0, "on arm never hit the stop sets");
-        assert_eq!(r.off.stopset_hits, 0, "off control touched the stop sets");
+        assert!(
+            r.on.stopset.total_hits() > 0,
+            "on arm never hit the stop sets"
+        );
+        assert_eq!(
+            r.off.stopset.total_hits(),
+            0,
+            "off control touched the stop sets"
+        );
         assert_eq!(r.off.requests, r.on.requests, "workload moved between arms");
+    }
+
+    #[test]
+    fn stop_set_hits_do_not_double_count_cache_hits() {
+        // Counter reconciliation: a stop-set hit replaces a whole RR step,
+        // so it must NOT also appear as measurement-cache traffic — the
+        // two economies are attributed to disjoint counters. The on arm
+        // therefore shows (a) stop-set lookups where the off arm has
+        // none, and (b) *no more* cache lookups than the off arm (it
+        // skips probes, so it can only consult the cache less).
+        let EconomyReport { off, on, .. } =
+            run(Scale::Smoke, 1, DEFAULT_MIN_CUT, DEFAULT_TOL_QUALITY);
+        assert!(!off.stop_sets && on.stop_sets);
+        assert_eq!(off.stopset, StopSetSnapshot::default());
+        assert!(
+            on.stopset.backward_lookups() > 0,
+            "on arm never consulted the backward set: {:?}",
+            on.stopset
+        );
+        let off_lookups = off.cache.hits + off.cache.misses;
+        let on_lookups = on.cache.hits + on.cache.misses;
+        assert!(
+            on_lookups <= off_lookups,
+            "stop-set consults leaked into cache stats: {on_lookups} > {off_lookups}"
+        );
+        // And the headline economy: reuse may only cut option probes.
+        assert!(
+            on.option_probes <= off.option_probes,
+            "stop sets increased probing: {} > {}",
+            on.option_probes,
+            off.option_probes
+        );
     }
 }

@@ -14,6 +14,7 @@ pub mod asymmetry;
 pub mod atlas_study;
 pub mod audit;
 pub mod bench_report;
+pub mod campaign;
 pub mod cliargs;
 pub mod concurrency;
 pub mod context;
@@ -35,6 +36,7 @@ pub mod throughput;
 pub mod traffic_eng;
 pub mod vp_selection;
 
+pub use campaign::{CampaignSpec, Scale};
 pub use context::{EvalContext, EvalScale};
 pub use render::{Figure, Series, Table};
 pub use stats::{fraction, linspace, Distribution};

@@ -20,13 +20,9 @@
 //! `revtr-cli metrics` prints the report and exports each table as TSV;
 //! ci.sh runs the smoke scale as a gate.
 
-use crate::context::{EvalContext, EvalScale};
+use crate::campaign::{CampaignSpec, Scale};
 use crate::render::Table;
-use revtr::{EngineConfig, LoopConfig};
-use revtr_netsim::SimConfig;
-use revtr_telemetry::{MetricsSnapshot, RequestRecord, Telemetry};
-use revtr_vpselect::Heuristics;
-use std::sync::Arc;
+use revtr_telemetry::{MetricsSnapshot, RequestRecord, TelemetryConfig};
 
 /// Canonical rendering order for the stitching stages instrumented in
 /// `revtr::system` (outer stages first, then the `rr_step` sub-stages).
@@ -237,53 +233,27 @@ impl MetricsReport {
 }
 
 /// Run the campaign on the deterministic event loop (default
-/// [`LoopConfig`]) with telemetry enabled and profile it. The loop's
-/// schedule is a pure function of the inputs, so every counter and
-/// histogram is exactly reproducible.
-pub fn run(base: SimConfig, scale: EvalScale) -> MetricsReport {
-    let ctx = EvalContext::new(base, scale);
-    let telemetry = Telemetry::enabled();
-    ctx.sim.set_telemetry(telemetry.clone());
-    let prober = ctx.prober().with_telemetry(telemetry.clone());
-    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-    let system = ctx.build_system(prober, EngineConfig::revtr2(), ingress);
-    let workload = ctx.workload();
-    let _ = system
-        .run_campaign(&workload, LoopConfig::default())
-        .expect("campaign measurement panicked");
+/// [`LoopConfig`](revtr::LoopConfig)) with telemetry enabled and profile
+/// it. The loop's schedule is a pure function of the inputs, so every
+/// counter and histogram is exactly reproducible.
+pub fn run(scale: Scale, seed: u64) -> MetricsReport {
+    let spec = CampaignSpec {
+        telemetry: Some(TelemetryConfig::default()),
+        ..CampaignSpec::new(scale, seed)
+    };
+    let ctx = spec.context();
+    let campaign = spec.assemble(&ctx);
+    let run = campaign.run(&ctx.workload());
+    let telemetry = &campaign.telemetry;
     MetricsReport {
         snapshot: telemetry.metrics(),
         journal: telemetry.journal_records(),
         metrics_fingerprint: telemetry.metrics_fingerprint(),
         journal_fingerprint: telemetry.journal_fingerprint(),
-        cache: system.prober().cache().stats(),
-        route_computes: ctx.sim.route_computes(),
-        requests: workload.len(),
+        cache: run.cache,
+        route_computes: run.route_computes,
+        requests: run.requests(),
     }
-}
-
-/// The smoke profile (tiny topology; tests and the ci.sh gate).
-pub fn smoke() -> MetricsReport {
-    smoke_seeded(EvalScale::smoke().seed)
-}
-
-/// The smoke profile under an explicit master seed.
-pub fn smoke_seeded(seed: u64) -> MetricsReport {
-    let mut scale = EvalScale::smoke();
-    scale.seed = seed;
-    run(SimConfig::tiny(), scale)
-}
-
-/// The reproduction profile (paper-era topology, standard campaign).
-pub fn standard() -> MetricsReport {
-    standard_seeded(EvalScale::standard().seed)
-}
-
-/// The reproduction profile under an explicit master seed.
-pub fn standard_seeded(seed: u64) -> MetricsReport {
-    let mut scale = EvalScale::standard();
-    scale.seed = seed;
-    run(SimConfig::era_2020(), scale)
 }
 
 #[cfg(test)]
@@ -292,7 +262,7 @@ mod tests {
 
     #[test]
     fn smoke_profile_covers_the_campaign() {
-        let report = smoke();
+        let report = run(Scale::Smoke, 1);
         assert!(report.requests > 10, "campaign too small");
         assert_eq!(
             report.snapshot.counter("request.count"),

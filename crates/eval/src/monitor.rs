@@ -19,27 +19,24 @@
 //! the alert table and the export bytes are identical across reruns and
 //! worker counts.
 
-use crate::context::{EvalContext, EvalScale};
+use crate::campaign::{Campaign, CampaignRun, CampaignSpec, Scale};
 use crate::render::Table;
-use revtr::{EngineConfig, LoopConfig};
-use revtr_netsim::{ScenarioConfig, SimConfig};
+use revtr_netsim::ScenarioConfig;
 use revtr_probing::{RetryPolicy, Snapshot};
 use revtr_telemetry::{
     chrome_trace_json, prometheus_text, MetricsSnapshot, RequestRecord, RuleExpr, Severity,
-    SloInput, SloPolicy, SloReport, SloRule, Telemetry, TelemetryConfig, WatchdogFlag,
+    SloInput, SloPolicy, SloReport, SloRule, TelemetryConfig, WatchdogFlag,
 };
-use revtr_vpselect::Heuristics;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Clean-configuration watchdog deadline (virtual ms) per scale: above
 /// the slowest clean request measured at seeds {1, 7, 42} (standard max
 /// 1 265 s, smoke max 243 s — see the calibration helper below), so on a
 /// healthy campaign any flag is a genuine regression.
-pub(crate) fn clean_deadline_ms(scale_name: &str) -> f64 {
-    match scale_name {
-        "standard" => 1_500_000.0,
-        _ => 300_000.0,
+pub(crate) fn clean_deadline_ms(scale: Scale) -> f64 {
+    match scale {
+        Scale::Standard => 1_500_000.0,
+        Scale::Smoke => 300_000.0,
     }
 }
 
@@ -50,10 +47,10 @@ pub(crate) fn clean_deadline_ms(scale_name: &str) -> f64 {
 /// 285–302 s faulted), so fault-induced stalls overrun it and get
 /// flagged while the envelope still sits above almost every clean
 /// request.
-fn envelope_deadline_ms(scale_name: &str) -> f64 {
-    match scale_name {
-        "standard" => 300_000.0,
-        _ => 100_000.0,
+fn envelope_deadline_ms(scale: Scale) -> f64 {
+    match scale {
+        Scale::Standard => 300_000.0,
+        Scale::Smoke => 100_000.0,
     }
 }
 
@@ -79,21 +76,19 @@ struct Baselines {
     control_headroom: f64,
 }
 
-/// Extra probes-per-revtr headroom granted to scenario monitor runs,
-/// which enable the Appx.-E verification mode: the re-probe of each
-/// RR-revealed chain costs ~4.4 option probes per request at standard
-/// scale (severity-0 scenario runs measure 11.1–11.6 against the clean
-/// 6.97–7.19), and the band would otherwise flag the verification
-/// traffic itself.
+/// Extra probes-per-revtr headroom granted to engines that run the
+/// Appx.-E verification re-probe (see [`policy`]): it costs ~4.4 option
+/// probes per request at standard scale, and the band would otherwise
+/// flag the verification traffic itself.
 const VERIFY_PROBE_ALLOWANCE: f64 = 4.5;
 
-fn baselines(scale_name: &str) -> Baselines {
-    match scale_name {
+fn baselines(scale: Scale) -> Baselines {
+    match scale {
         // Measured clean, seeds {1, 7, 42}, event-loop campaign with
         // survey probes bypassing the measurement cache: coverage
         // 0.7365–0.7705, accuracy 0.9672–1.0, probes/revtr 6.97–7.19,
         // rr_step p99 88 080 ms at every seed.
-        "standard" => Baselines {
+        Scale::Standard => Baselines {
             coverage: 0.735,
             accuracy: 0.96,
             probes_low: 5.0,
@@ -112,7 +107,7 @@ fn baselines(scale_name: &str) -> Baselines {
         },
         // Measured clean, seeds {1, 7, 42}: coverage 0.80–1.0, accuracy
         // 1.0, probes/revtr 1.44–2.88, rr_step p99 48 234–79 692 ms.
-        _ => Baselines {
+        Scale::Smoke => Baselines {
             coverage: 0.80,
             accuracy: 0.95,
             probes_low: 1.0,
@@ -130,8 +125,8 @@ fn baselines(scale_name: &str) -> Baselines {
 /// The default reproduction policy for a given scale: the paper-shaped
 /// guardrails (coverage, soundness, probe budget, latency) phrased as
 /// [`SloRule`]s over this repo's measured clean baselines.
-pub fn default_policy(scale_name: &str) -> SloPolicy {
-    let b = baselines(scale_name);
+pub fn default_policy(scale: Scale) -> SloPolicy {
+    let b = baselines(scale);
     let rule = |name: &str, severity: Severity, expr: RuleExpr| SloRule {
         name: name.to_string(),
         severity,
@@ -246,7 +241,7 @@ pub fn default_policy(scale_name: &str) -> SloPolicy {
                 Severity::Warning,
                 RuleExpr::BurnRate {
                     window_ms: 3_600_000.0,
-                    slow_ms: clean_deadline_ms(scale_name),
+                    slow_ms: clean_deadline_ms(scale),
                     budget: 0.02,
                     max_burn: 1.0,
                 },
@@ -255,93 +250,29 @@ pub fn default_policy(scale_name: &str) -> SloPolicy {
     }
 }
 
-/// Monitor run configuration: fault injection plus judgment knobs.
-#[derive(Clone, Debug)]
-pub struct MonitorConfig {
-    /// Injected transient probe-loss probability (0.0 = clean).
-    pub loss: f64,
-    /// Per-kind retry attempt budget (1 = no retries, the clean default).
-    pub budget: u32,
-    /// Stuck-request watchdog deadline, virtual ms.
-    pub watchdog_deadline_ms: f64,
-    /// Enable the campaign-wide Doubletree stop sets
-    /// (`EngineConfig::use_stop_sets`). Off in the clean baseline; the
-    /// economy gate A/Bs this knob.
-    pub use_stop_sets: bool,
-    /// Hostile-Internet scenario profiles injected into the simulator
-    /// (`SimConfig::scenario`). Inert by default — an all-zero config is
-    /// byte-identical to no scenario at all.
-    pub scenario: ScenarioConfig,
-    /// Run the hardened engine (`EngineConfig::harden`): audit-replay
-    /// cross-validation, VP quarantine, atlas pre-grading, DBR demotion.
-    pub harden: bool,
-    /// Run the Appx.-E optional verification mode
-    /// (`EngineConfig::verify_dbr`): every RR-revealed chain is re-probed
-    /// and mismatches feed `core.verify.dbr_mismatch`. Off in the clean
-    /// baseline (zero extra probes); scenario runs switch it on so the
-    /// dbr-verify-mismatch rule has a live signal even on the stock
-    /// engine.
-    pub verify_dbr: bool,
-    /// The SLO policy to judge against.
-    pub policy: SloPolicy,
-}
-
-impl MonitorConfig {
-    /// The clean configuration for a scale: no faults, default policy,
-    /// watchdog armed above the measured clean worst case.
-    pub fn clean(scale_name: &str) -> MonitorConfig {
-        MonitorConfig {
-            loss: 0.0,
-            budget: 1,
-            watchdog_deadline_ms: clean_deadline_ms(scale_name),
-            use_stop_sets: false,
-            scenario: ScenarioConfig::default(),
-            harden: false,
-            verify_dbr: false,
-            policy: default_policy(scale_name),
-        }
-    }
-
-    /// The same configuration with the stop-set knob flipped.
-    pub fn with_stop_sets(mut self, on: bool) -> MonitorConfig {
-        self.use_stop_sets = on;
-        self
-    }
-
-    /// The same configuration with a hostile-Internet scenario injected.
-    /// Unlike [`MonitorConfig::faulted`]'s envelope tightening, scenario
-    /// runs keep the *clean* watchdog deadline: adversarial profiles are
-    /// judged by which SLO rules they trip (accuracy-floor for deception,
-    /// transient-exhaustion and the probe band for drops), and a watchdog
-    /// armed below the measured clean worst case would flag every profile
-    /// alike — a siren, not a signal. An all-zero severity config changes
-    /// nothing and still passes the full clean policy.
-    pub fn with_scenario(mut self, scale_name: &str, scenario: ScenarioConfig) -> MonitorConfig {
-        self.watchdog_deadline_ms = clean_deadline_ms(scale_name);
-        self.scenario = scenario;
-        // Scenario runs judge one extra signal the clean 9-rule policy
-        // does not need: the campaign-wide Appx.-E verify mismatch count.
-        // The stock engine never re-probes on its own (`verify_dbr` is
-        // off in `revtr2()`), so scenario monitoring switches the
-        // optional mode on to make the counter live. Route diversity
-        // alone produces a handful of mismatches per clean campaign
-        // (1–4 at standard scale); a DBR-violating region drives the
-        // count past the allowance.
-        self.verify_dbr = true;
-        // Recalibrate the probe band for the verification overhead: the
-        // Appx.-E re-probe adds ~4.4 probes per request at standard
-        // scale (measured severity-0 runs sit at 11.1–11.6 probes per
-        // revtr against the clean 6.97–7.19). Without the bump an
-        // all-zero scenario would trip the band purely from the extra
-        // verification traffic.
-        for rule in &mut self.policy.rules {
+/// The policy a monitored campaign is judged against: the scale's
+/// default policy, recalibrated when the engine runs the Appx.-E
+/// verification mode (`EngineConfig::verify_dbr`, or `harden`, whose DBR
+/// demotion re-probes the same way). That mode re-probes every
+/// RR-revealed chain, so the probe band is raised by
+/// [`VERIFY_PROBE_ALLOWANCE`] (severity-0 scenario runs measure 11.1–11.6
+/// probes per revtr at standard scale against the clean 6.97–7.19), and
+/// the campaign-wide mismatch count becomes a live signal: route
+/// diversity alone produces a handful of mismatches per clean campaign
+/// (1–4 at standard scale), a DBR-violating region drives the count past
+/// the allowance. Judging by the engine that actually ran keeps a stock
+/// engine's band tight and never lists a rule it cannot fire.
+pub fn policy(spec: &CampaignSpec) -> SloPolicy {
+    let mut policy = default_policy(spec.scale);
+    if spec.engine.verify_dbr || spec.engine.harden {
+        for rule in &mut policy.rules {
             if rule.name == "probe-budget-band" {
                 if let RuleExpr::DerivedMax { max, .. } = &mut rule.expr {
                     *max += VERIFY_PROBE_ALLOWANCE;
                 }
             }
         }
-        self.policy.rules.push(SloRule {
+        policy.rules.push(SloRule {
             name: "dbr-verify-mismatch".to_string(),
             severity: Severity::Warning,
             expr: RuleExpr::CounterMax {
@@ -349,37 +280,59 @@ impl MonitorConfig {
                 max: 10,
             },
         });
-        self
     }
+    policy
+}
 
-    /// The same configuration with the hardened engine toggled.
-    pub fn with_harden(mut self, on: bool) -> MonitorConfig {
-        self.harden = on;
-        self
-    }
+/// The clean monitored campaign: no faults, profiling on (the memory
+/// rules need live `mem.*` readings; the ledgers sit outside the
+/// fingerprinted registry and journal), watchdog armed above the measured
+/// clean worst case.
+pub fn clean(scale: Scale, seed: u64) -> CampaignSpec {
+    faulted(scale, seed, 0.0, 1)
+}
 
-    /// Fault injection dialled in. With `loss > 0` the watchdog tightens
-    /// to the clean p99 *envelope* (see [`envelope_deadline_ms`]): the
-    /// question a faulted run answers is "does the service still meet its
-    /// healthy latency envelope under faults?", and the extra 10 s
-    /// spoofed-batch timeouts that injected loss causes are exactly what
-    /// the envelope catches. `faulted(_, 0.0, 1)` equals `clean(_)`.
-    pub fn faulted(scale_name: &str, loss: f64, budget: u32) -> MonitorConfig {
-        MonitorConfig {
-            loss,
-            budget,
-            watchdog_deadline_ms: if loss > 0.0 {
-                envelope_deadline_ms(scale_name)
+/// The monitored campaign with fault injection dialled in: transient
+/// `loss` and a uniform per-kind retry `budget`. With `loss > 0` the
+/// watchdog tightens to the clean p99 *envelope* (see
+/// [`envelope_deadline_ms`]): the question a faulted run answers is "does
+/// the service still meet its healthy latency envelope under faults?",
+/// and the extra 10 s spoofed-batch timeouts that injected loss causes
+/// are exactly what the envelope catches. `faulted(_, _, 0.0, 1)` equals
+/// [`clean`].
+pub fn faulted(scale: Scale, seed: u64, loss: f64, budget: u32) -> CampaignSpec {
+    CampaignSpec {
+        loss,
+        telemetry: Some(TelemetryConfig {
+            watchdog_deadline_ms: Some(if loss > 0.0 {
+                envelope_deadline_ms(scale)
             } else {
-                clean_deadline_ms(scale_name)
-            },
-            use_stop_sets: false,
-            scenario: ScenarioConfig::default(),
-            harden: false,
-            verify_dbr: false,
-            policy: default_policy(scale_name),
-        }
+                clean_deadline_ms(scale)
+            }),
+            profile: true,
+            ..TelemetryConfig::default()
+        }),
+        retry: RetryPolicy::uniform(budget),
+        ..CampaignSpec::new(scale, seed)
     }
+}
+
+/// The same monitored campaign with a hostile-Internet scenario injected
+/// and the Appx.-E verification mode on, so the `dbr-verify-mismatch`
+/// rule has a live signal even on the stock engine. Unlike [`faulted`]'s
+/// envelope tightening, scenario runs keep the *clean* watchdog deadline:
+/// adversarial profiles are judged by which SLO rules they trip
+/// (accuracy-floor for deception, transient-exhaustion and the probe band
+/// for drops), and a watchdog armed below the measured clean worst case
+/// would flag every profile alike — a siren, not a signal. An all-zero
+/// severity config changes nothing and still passes the full policy.
+pub fn with_scenario(mut spec: CampaignSpec, scenario: ScenarioConfig) -> CampaignSpec {
+    if let Some(t) = spec.telemetry.as_mut() {
+        t.watchdog_deadline_ms = Some(clean_deadline_ms(spec.scale));
+    }
+    spec.scenario = scenario;
+    spec.engine.verify_dbr = true;
+    spec
 }
 
 /// Everything one monitored campaign produced.
@@ -422,68 +375,38 @@ pub struct MonitorReport {
     pub route_computes: u64,
 }
 
-/// Run the campaign on the deterministic event loop (default
-/// [`LoopConfig`] — the same execution `eval::metrics` profiles, which
-/// keeps the ci.sh fingerprint-neutrality gate meaningful) under the
-/// monitor's telemetry configuration and judge it. The loop schedule is a
-/// pure function of the inputs, so every run is deterministic; the
-/// underlying telemetry is additionally interleaving-independent (gated
-/// by `tests/metamorphic.rs`).
-pub fn run(base: SimConfig, scale: EvalScale, cfg: &MonitorConfig) -> MonitorReport {
-    let mut sim_cfg = base;
-    sim_cfg.faults.probe_loss = cfg.loss;
-    sim_cfg.scenario = cfg.scenario.clone();
-    let ctx = EvalContext::new(sim_cfg, scale);
-    let telemetry = Telemetry::with_config(TelemetryConfig {
-        watchdog_deadline_ms: Some(cfg.watchdog_deadline_ms),
-        // The profiling arm is always on for monitored campaigns: the
-        // memory rules need live `mem.*` readings, and the resource
-        // ledgers live outside the fingerprinted registry/journal (the
-        // metamorphic suite pins profile-on ≡ profile-off identity).
-        profile: true,
-        ..TelemetryConfig::default()
-    });
-    ctx.sim.set_telemetry(telemetry.clone());
-    let prober = ctx
-        .prober()
-        .with_retry_policy(RetryPolicy::uniform(cfg.budget))
-        .with_telemetry(telemetry.clone());
-    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-    let mut ecfg = EngineConfig::revtr2();
-    ecfg.use_stop_sets = cfg.use_stop_sets;
-    ecfg.harden = cfg.harden;
-    ecfg.verify_dbr = cfg.verify_dbr;
-    let system = ctx.build_system(prober, ecfg, ingress);
-    let workload = ctx.workload();
-    let oracle = ctx.sim.oracle();
+/// End-to-end request latency p99 and max (virtual ms) as derived keys.
+pub(crate) fn latency_keys(snapshot: &MetricsSnapshot) -> [(String, f64); 2] {
+    let (p99_ms, max_ms) = snapshot
+        .histogram("request.virtual_us")
+        .map(|h| (h.quantile(0.99) as f64 / 1000.0, h.max() as f64 / 1000.0))
+        .unwrap_or((0.0, 0.0));
+    [
+        ("latency.p99_ms".into(), p99_ms),
+        ("latency.max_ms".into(), max_ms),
+    ]
+}
 
-    let probes_before = system.prober().counters().snapshot();
-    let virtual_before = system.prober().clock().now_ms();
-    let outcome = system
-        .run_campaign(&workload, LoopConfig::default())
-        .expect("campaign measurement panicked");
-    // Oracle bookkeeping after the campaign: results come back in input
-    // order, and oracle lookups neither probe nor advance virtual time,
-    // so judging after the fact is identity-neutral.
-    let (mut complete, mut sound, mut compared) = (0usize, 0usize, 0usize);
-    for (&(dst, src), r) in workload.iter().zip(&outcome.results) {
-        if !r.complete() {
-            continue;
-        }
-        complete += 1;
-        let Some(truth) = oracle.true_as_path(dst, src) else {
-            continue;
-        };
-        compared += 1;
-        let mut measured: Vec<_> = r.addrs().filter_map(|a| oracle.true_as_of(a)).collect();
-        measured.dedup();
-        if measured.iter().all(|a| truth.contains(a)) {
-            sound += 1;
-        }
-    }
-    let probes = system.prober().counters().snapshot().since(&probes_before);
-    let campaign_virtual_ms = system.prober().clock().now_ms() - virtual_before;
+/// Run the monitored campaign `spec` on the deterministic event loop and
+/// judge it. The loop schedule is a pure function of the inputs, so every
+/// run is deterministic; the underlying telemetry is additionally
+/// interleaving-independent (gated by `tests/metamorphic.rs`).
+pub fn run(spec: &CampaignSpec) -> MonitorReport {
+    let ctx = spec.context();
+    let campaign = spec.assemble(&ctx);
+    let run = campaign.run(&ctx.workload());
+    judge(spec, &campaign, &run)
+}
 
+/// Judge a finished campaign against [`policy`]`(spec)`: fingerprints
+/// first, then the derived table, then the verdicts, which only then are
+/// fired into the registry as `slo.alert.<rule>` counters.
+pub(crate) fn judge(
+    spec: &CampaignSpec,
+    campaign: &Campaign<'_>,
+    run: &CampaignRun,
+) -> MonitorReport {
+    let telemetry = &campaign.telemetry;
     // Identity first: fingerprints before judgment.
     let snapshot = telemetry.metrics();
     let metrics_fingerprint = snapshot.fingerprint();
@@ -491,30 +414,11 @@ pub fn run(base: SimConfig, scale: EvalScale, cfg: &MonitorConfig) -> MonitorRep
     let journal = telemetry.journal_records();
     let watchdog = telemetry.watchdog_flags();
 
-    let attempted = workload.len();
-    let frac = |n: usize, d: usize| if d == 0 { 0.0 } else { n as f64 / d as f64 };
-    let (p99_ms, max_ms) = snapshot
-        .histogram("request.virtual_us")
-        .map(|h| (h.quantile(0.99) as f64 / 1000.0, h.max() as f64 / 1000.0))
-        .unwrap_or((0.0, 0.0));
-    let mut derived: Vec<(String, f64)> = vec![
-        ("accuracy".into(), frac(sound, compared)),
-        ("audit.as_unsound".into(), (compared - sound) as f64),
-        ("coverage".into(), frac(complete, attempted)),
-        ("latency.p99_ms".into(), p99_ms),
-        ("latency.max_ms".into(), max_ms),
-        (
-            "probes.per_revtr".into(),
-            if attempted == 0 {
-                0.0
-            } else {
-                probes.option_probes() as f64 / attempted as f64
-            },
-        ),
-        ("requests".into(), attempted as f64),
-        ("watchdog.flagged".into(), watchdog.len() as f64),
-    ];
-    let ss = system.stopset().stats();
+    let mut derived = run
+        .judgment
+        .derived(run.probes.option_probes(), watchdog.len());
+    derived.extend(latency_keys(&snapshot));
+    let ss = run.stopset;
     derived.extend([
         ("stopset.backward_hits".into(), ss.backward_hits as f64),
         ("stopset.backward_misses".into(), ss.backward_misses as f64),
@@ -525,9 +429,9 @@ pub fn run(base: SimConfig, scale: EvalScale, cfg: &MonitorConfig) -> MonitorRep
         ("stopset.winner_hits".into(), ss.winner_hits as f64),
     ]);
     // Resource ledgers from the profiling arm, surfaced as `mem.*`
-    // derived keys only after the identity was captured. On a build
-    // without profiling these keys are simply absent and the memory
-    // rules pass as "no data".
+    // derived keys only after the identity was captured. Without
+    // profiling these keys are simply absent and the memory rules pass
+    // as "no data".
     let resources = telemetry.resources();
     let mut mem_total_hiwater = 0u64;
     for l in &resources.ledgers {
@@ -535,28 +439,25 @@ pub fn run(base: SimConfig, scale: EvalScale, cfg: &MonitorConfig) -> MonitorRep
         derived.push((format!("mem.{}.hiwater", l.name), l.hiwater as f64));
     }
     derived.push(("mem.total.hiwater".into(), mem_total_hiwater as f64));
-    derived.push((
-        "events_per_revtr".into(),
-        frac(outcome.events as usize, attempted),
-    ));
+    derived.push(("events_per_revtr".into(), run.per_revtr(run.outcome.events)));
     derived.push((
         "bytes_per_revtr".into(),
-        frac(probes.probe_bytes() as usize, attempted),
+        run.per_revtr(run.probes.probe_bytes()),
     ));
     derived.sort_by(|a, b| a.0.cmp(&b.0));
 
-    let slo = cfg.policy.evaluate(&SloInput {
+    let slo = policy(spec).evaluate(&SloInput {
         snapshot: &snapshot,
         requests: &journal,
         derived: &derived,
     });
     // Judgment becomes metrics only after the identity was captured.
-    slo.fire_into(&telemetry);
+    slo.fire_into(telemetry);
 
     MonitorReport {
-        requests: attempted,
-        loss: cfg.loss,
-        budget: cfg.budget,
+        requests: run.requests(),
+        loss: spec.loss,
+        budget: spec.retry.rr_attempts,
         metrics_fingerprint,
         journal_fingerprint,
         snapshot,
@@ -564,31 +465,29 @@ pub fn run(base: SimConfig, scale: EvalScale, cfg: &MonitorConfig) -> MonitorRep
         derived,
         slo,
         watchdog,
-        watchdog_deadline_ms: cfg.watchdog_deadline_ms,
-        campaign_virtual_ms,
-        probes,
-        inflight_peak: outcome.inflight_peak,
-        cache: system.prober().cache().stats(),
+        watchdog_deadline_ms: spec
+            .telemetry
+            .as_ref()
+            .and_then(|t| t.watchdog_deadline_ms)
+            .unwrap_or(0.0),
+        campaign_virtual_ms: run.virtual_ms,
+        probes: run.probes,
+        inflight_peak: run.outcome.inflight_peak,
+        cache: run.cache,
         stopset: ss,
-        route_computes: ctx.sim.route_computes(),
+        route_computes: run.route_computes,
     }
 }
 
-/// Monitor the smoke campaign (tiny topology).
-pub fn smoke_seeded(seed: u64, cfg: &MonitorConfig) -> MonitorReport {
-    let mut scale = EvalScale::smoke();
-    scale.seed = seed;
-    run(SimConfig::tiny(), scale, cfg)
-}
-
-/// Monitor the standard campaign (paper-era topology).
-pub fn standard_seeded(seed: u64, cfg: &MonitorConfig) -> MonitorReport {
-    let mut scale = EvalScale::standard();
-    scale.seed = seed;
-    run(SimConfig::era_2020(), scale, cfg)
-}
-
 impl MonitorReport {
+    /// One derived value by key (0.0 when absent).
+    pub fn value(&self, key: &str) -> f64 {
+        self.derived
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or(0.0, |(_, v)| *v)
+    }
+
     /// The derived-values table.
     pub fn derived_table(&self) -> Table {
         let mut t = Table::new("Monitor: derived values", &["key", "value"]);
@@ -739,9 +638,9 @@ mod tests {
 
     #[test]
     fn clean_smoke_monitor_is_quiet_and_deterministic() {
-        let cfg = MonitorConfig::clean("smoke");
-        let a = smoke_seeded(1, &cfg);
-        let b = smoke_seeded(1, &cfg);
+        let spec = clean(Scale::Smoke, 1);
+        let a = run(&spec);
+        let b = run(&spec);
         assert_eq!(a.metrics_fingerprint, b.metrics_fingerprint);
         assert_eq!(a.journal_fingerprint, b.journal_fingerprint);
         assert_eq!(a.render(), b.render(), "report not byte-deterministic");
@@ -759,8 +658,7 @@ mod tests {
 
     #[test]
     fn faulted_smoke_monitor_fires_coverage_and_stuck_alerts() {
-        let cfg = MonitorConfig::faulted("smoke", 0.3, 1);
-        let r = smoke_seeded(1, &cfg);
+        let r = run(&faulted(Scale::Smoke, 1, 0.3, 1));
         assert!(!r.is_clean(), "faulted run stayed clean:\n{}", r.render());
         let firing: Vec<&str> = r.slo.alerts().map(|v| v.rule.as_str()).collect();
         assert!(
@@ -789,38 +687,31 @@ mod tests {
     #[test]
     #[ignore = "manual calibration helper; see DESIGN.md §8"]
     fn calibrate_policy_baselines() {
-        let standard = std::env::var("MONITOR_CALIBRATE_STANDARD").is_ok();
-        let scale_name = if standard { "standard" } else { "smoke" };
+        let scale = if std::env::var("MONITOR_CALIBRATE_STANDARD").is_ok() {
+            Scale::Standard
+        } else {
+            Scale::Smoke
+        };
         for seed in [1u64, 7, 42] {
-            for (label, cfg) in [
-                ("clean  ", MonitorConfig::clean(scale_name)),
-                ("faulted", MonitorConfig::faulted(scale_name, 0.3, 1)),
+            for (label, spec) in [
+                ("clean  ", clean(scale, seed)),
+                ("faulted", faulted(scale, seed, 0.3, 1)),
             ] {
-                let r = if standard {
-                    standard_seeded(seed, &cfg)
-                } else {
-                    smoke_seeded(seed, &cfg)
-                };
-                let d = |key: &str| {
-                    r.derived
-                        .iter()
-                        .find(|(k, _)| k == key)
-                        .map(|(_, v)| *v)
-                        .unwrap_or(0.0)
-                };
+                let r = run(&spec);
                 let rr_p99 = r
                     .snapshot
                     .histogram("stage.rr_step.virtual_us")
                     .map(|h| h.quantile(0.99))
                     .unwrap_or(0);
                 println!(
-                    "{scale_name} seed {seed:>2} {label}: coverage {:.4}  accuracy {:.4}  \
+                    "{} seed {seed:>2} {label}: coverage {:.4}  accuracy {:.4}  \
                      probes/revtr {:.2}  p99 {:.0} ms  max {:.0} ms  rr_step p99 {} us  flagged {}",
-                    d("coverage"),
-                    d("accuracy"),
-                    d("probes.per_revtr"),
-                    d("latency.p99_ms"),
-                    d("latency.max_ms"),
+                    scale.name(),
+                    r.value("coverage"),
+                    r.value("accuracy"),
+                    r.value("probes.per_revtr"),
+                    r.value("latency.p99_ms"),
+                    r.value("latency.max_ms"),
                     rr_p99,
                     r.watchdog.len(),
                 );
@@ -832,8 +723,8 @@ mod tests {
     fn monitor_fingerprints_match_the_metrics_profile() {
         // The neutrality property behind the ci.sh gate: monitoring a
         // clean campaign reports the exact fingerprints `metrics` does.
-        let m = smoke_seeded(1, &MonitorConfig::clean("smoke"));
-        let p = crate::metrics::smoke_seeded(1);
+        let m = run(&clean(Scale::Smoke, 1));
+        let p = crate::metrics::run(Scale::Smoke, 1);
         assert_eq!(m.metrics_fingerprint, p.metrics_fingerprint);
         assert_eq!(m.journal_fingerprint, p.journal_fingerprint);
         assert_eq!(m.journal.len(), p.journal.len());

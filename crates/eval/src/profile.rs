@@ -22,19 +22,15 @@
 //! read back sorted, so the report is byte-identical across reruns and
 //! worker counts (pinned by `tests/metamorphic.rs`).
 
-use crate::context::{EvalContext, EvalScale};
+use crate::campaign::{CampaignSpec, Scale};
 use crate::monitor;
 use crate::render::Table;
-use revtr::{EngineConfig, LoopConfig};
-use revtr_netsim::SimConfig;
 use revtr_probing::Snapshot;
 use revtr_telemetry::{
     chrome_trace_json_with_counters, flamegraph_text, ProfileMetric, ProfileStack, RequestRecord,
-    ResourceSnapshot, RuleExpr, Telemetry, TelemetryConfig,
+    ResourceSnapshot, RuleExpr, TelemetryConfig,
 };
-use revtr_vpselect::Heuristics;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// How many cost stacks the rendered top-k table shows.
 const TOP_K_STACKS: usize = 12;
@@ -80,8 +76,8 @@ impl ShardStats {
 /// Everything one profiled campaign produced.
 #[derive(Clone, Debug)]
 pub struct ProfileReport {
-    /// Scale the campaign ran at (`smoke` / `standard`).
-    pub scale_name: String,
+    /// Scale the campaign ran at.
+    pub scale: Scale,
     /// Master seed.
     pub seed: u64,
     /// Requests attempted.
@@ -114,35 +110,23 @@ pub struct ProfileReport {
     pub control_capacity: u64,
 }
 
-/// Run the clean campaign at `scale_name`/`seed` with profiling on and
+/// Run the clean campaign at `scale`/`seed` with profiling on and
 /// collect every resource view. Identical inputs produce a byte-identical
 /// report.
-pub fn run(scale_name: &str, seed: u64) -> ProfileReport {
-    let (base, mut scale) = match scale_name {
-        "standard" => (SimConfig::era_2020(), EvalScale::standard()),
-        _ => (SimConfig::tiny(), EvalScale::smoke()),
+pub fn run(scale: Scale, seed: u64) -> ProfileReport {
+    let spec = CampaignSpec {
+        telemetry: Some(TelemetryConfig {
+            profile: true,
+            ..TelemetryConfig::default()
+        }),
+        ..CampaignSpec::new(scale, seed)
     };
-    scale.seed = seed;
-    let ctx = EvalContext::new(base, scale);
-    let telemetry = Telemetry::with_config(TelemetryConfig {
-        profile: true,
-        ..TelemetryConfig::default()
-    });
-    ctx.sim.set_telemetry(telemetry.clone());
-    let prober = ctx.prober().with_telemetry(telemetry.clone());
-    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-    let system = ctx.build_system(prober, EngineConfig::revtr2(), ingress);
-    let workload = ctx.workload();
+    let ctx = spec.context();
+    let campaign = spec.assemble(&ctx);
+    let run = campaign.run(&ctx.workload());
+    let telemetry = &campaign.telemetry;
 
-    let probes_before = system.prober().counters().snapshot();
-    let virtual_before = system.prober().clock().now_ms();
-    let outcome = system
-        .run_campaign(&workload, LoopConfig::default())
-        .expect("campaign measurement panicked");
-    let probes = system.prober().counters().snapshot().since(&probes_before);
-    let campaign_virtual_ms = system.prober().clock().now_ms() - virtual_before;
-
-    let cache = system.prober().cache();
+    let cache = campaign.system.prober().cache();
     let (tr_occ, rr_occ) = cache.shard_occupancy();
     let shard_stats = vec![
         ShardStats::from_occupancy(
@@ -152,21 +136,21 @@ pub fn run(scale_name: &str, seed: u64) -> ProfileReport {
         ),
         ShardStats::from_occupancy("probing.cache.rr", &rr_occ, revtr_probing::RR_ENTRY_BYTES),
     ];
-    let (mem_ceiling, control_capacity) = policy_ceilings(scale_name);
+    let (mem_ceiling, control_capacity) = policy_ceilings(scale);
 
     ProfileReport {
-        scale_name: scale_name.to_string(),
+        scale,
         seed,
-        requests: workload.len(),
+        requests: run.requests(),
         metrics_fingerprint: telemetry.metrics_fingerprint(),
         journal_fingerprint: telemetry.journal_fingerprint(),
         resources: telemetry.resources(),
         stacks: telemetry.profile_stacks(),
         series: telemetry.resource_series(),
         journal: telemetry.journal_records(),
-        probes,
-        events: outcome.events,
-        campaign_virtual_ms,
+        probes: run.probes,
+        events: run.outcome.events,
+        campaign_virtual_ms: run.virtual_ms,
         shard_stats,
         sim_cache_skew: ctx.sim.cache_shard_skew(),
         mem_ceiling,
@@ -177,8 +161,8 @@ pub fn run(scale_name: &str, seed: u64) -> ProfileReport {
 /// The memory ceilings the profile's headroom section reports against —
 /// read straight out of the monitor's default policy so the two surfaces
 /// can never disagree.
-fn policy_ceilings(scale_name: &str) -> (u64, u64) {
-    let policy = monitor::default_policy(scale_name);
+fn policy_ceilings(scale: Scale) -> (u64, u64) {
+    let policy = monitor::default_policy(scale);
     let (mut mem, mut control) = (0u64, 0u64);
     for rule in &policy.rules {
         match &rule.expr {
@@ -341,7 +325,7 @@ impl ProfileReport {
             s,
             "profile: {} requests ({} scale, seed {}), {:.1} virtual s",
             self.requests,
-            self.scale_name,
+            self.scale.name(),
             self.seed,
             self.campaign_virtual_ms / 1000.0
         );
@@ -404,8 +388,8 @@ mod tests {
 
     #[test]
     fn smoke_profile_reports_every_subsystem_deterministically() {
-        let a = run("smoke", 1);
-        let b = run("smoke", 1);
+        let a = run(Scale::Smoke, 1);
+        let b = run(Scale::Smoke, 1);
         assert_eq!(a.render(), b.render(), "report not byte-deterministic");
         assert_eq!(
             a.resources.fingerprint(),
@@ -458,15 +442,15 @@ mod tests {
     fn profile_fingerprints_match_the_unprofiled_metrics_run() {
         // Profiling must not perturb campaign identity: same fingerprints
         // as `revtr-cli metrics` (which runs with profiling off).
-        let p = run("smoke", 1);
-        let m = crate::metrics::smoke_seeded(1);
+        let p = run(Scale::Smoke, 1);
+        let m = crate::metrics::run(Scale::Smoke, 1);
         assert_eq!(p.metrics_fingerprint, m.metrics_fingerprint);
         assert_eq!(p.journal_fingerprint, m.journal_fingerprint);
     }
 
     #[test]
     fn exports_round_trip_and_stay_deterministic() {
-        let r = run("smoke", 7);
+        let r = run(Scale::Smoke, 7);
         let dir = std::env::temp_dir().join("revtr_profile_export_test");
         let paths = r.save_exports(&dir).expect("export failed");
         assert_eq!(paths.len(), 3);

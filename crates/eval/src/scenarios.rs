@@ -33,19 +33,14 @@
 //! when any profile fails its gate; ci.sh sweeps the standard scale over
 //! seeds {1, 7, 42}.
 
-use crate::context::{EvalContext, EvalScale};
-use crate::monitor::{self, MonitorConfig};
+use crate::campaign::Scale;
+use crate::monitor;
 use crate::render::Table;
-use revtr::{EngineConfig, LoopConfig};
 use revtr_audit::{AuditSummary, Auditor};
-use revtr_netsim::{ScenarioConfig, ScenarioProfile, SimConfig};
-use revtr_probing::RetryPolicy;
-use revtr_telemetry::{SloInput, Telemetry, TelemetryConfig};
-use revtr_vpselect::Heuristics;
+use revtr_netsim::{ScenarioConfig, ScenarioProfile};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// Fabrication profiles: hardening must repair at least this much
 /// correct coverage (coverage × accuracy) over the stock engine.
@@ -81,11 +76,15 @@ pub struct ScenarioArm {
     pub probes_per_revtr: f64,
     /// Stitch-trace audit: unsound + policy-violating hop verdicts.
     pub unsound: u64,
-    /// SLO rules firing under the recalibrated scenario policy.
+    /// SLO rules firing under the monitor policy of the engine that ran.
     pub alerts: Vec<String>,
     /// Campaign fingerprint (hash of every serialized result, in input
     /// order) — the seed-purity and worker-invariance identity.
     pub fingerprint: u64,
+    /// Telemetry metrics fingerprint (the monitor's identity line).
+    pub metrics_fingerprint: u64,
+    /// Telemetry journal fingerprint.
+    pub journal_fingerprint: u64,
 }
 
 /// One profile's off/on comparison.
@@ -170,8 +169,8 @@ impl ProfileReport {
 /// The full conformance report: one seeded campaign, every profile.
 #[derive(Clone, Debug)]
 pub struct ScenarioReport {
-    /// Scale name ("smoke" / "standard").
-    pub scale: String,
+    /// Campaign scale.
+    pub scale: Scale,
     /// Master seed (all arms).
     pub seed: u64,
     /// The clean baseline (no scenario, stock engine).
@@ -236,7 +235,7 @@ impl ScenarioReport {
         let _ = writeln!(
             s,
             "scenario conformance ({} scale, seed {}): {} profiles vs clean coverage {:.4} / accuracy {:.4}",
-            self.scale,
+            self.scale.name(),
             self.seed,
             self.profiles.len(),
             self.clean.coverage,
@@ -275,128 +274,58 @@ impl ScenarioReport {
     }
 }
 
-fn base_config(scale_name: &str) -> (SimConfig, EvalScale) {
-    match scale_name {
-        "standard" => (SimConfig::era_2020(), EvalScale::standard()),
-        _ => (SimConfig::tiny(), EvalScale::smoke()),
-    }
-}
-
-/// Run one arm: the seeded campaign under `scenario` with the engine
-/// hardened or stock, judged by the recalibrated monitor policy and
-/// audited hop-by-hop against the oracle.
-pub fn arm(scale_name: &str, seed: u64, scenario: &ScenarioConfig, harden: bool) -> ScenarioArm {
-    let (base, mut scale) = base_config(scale_name);
-    scale.seed = seed;
-    let mcfg = MonitorConfig::clean(scale_name)
-        .with_scenario(scale_name, scenario.clone())
-        .with_harden(harden);
-    let mut sim_cfg = base;
-    sim_cfg.scenario = scenario.clone();
-    let ctx = EvalContext::new(sim_cfg, scale);
-    let telemetry = Telemetry::with_config(TelemetryConfig {
-        watchdog_deadline_ms: Some(mcfg.watchdog_deadline_ms),
-        ..TelemetryConfig::default()
-    });
-    ctx.sim.set_telemetry(telemetry.clone());
-    let prober = ctx
-        .prober()
-        .with_retry_policy(RetryPolicy::uniform(mcfg.budget))
-        .with_telemetry(telemetry.clone());
-    let mut ecfg = EngineConfig::revtr2();
-    ecfg.harden = harden;
-    let auditor = Auditor::new(&ctx.sim, ecfg.registry_only_ip2as);
-    let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-    let system = ctx.build_system(prober, ecfg, ingress);
-    let workload = ctx.workload();
-
-    let probes_before = system.prober().counters().snapshot();
-    let outcome = system
-        .run_campaign(&workload, LoopConfig::default())
-        .expect("campaign measurement panicked");
-    let probes = system.prober().counters().snapshot().since(&probes_before);
+/// Run one arm: the seeded clean monitored campaign under `scenario`
+/// with the engine hardened or stock, judged by the monitor's policy for
+/// that engine and audited hop-by-hop against the oracle.
+pub fn arm(scale: Scale, seed: u64, scenario: &ScenarioConfig, harden: bool) -> ScenarioArm {
+    let mut spec = monitor::clean(scale, seed);
+    spec.scenario = scenario.clone();
+    spec.engine.harden = harden;
+    let ctx = spec.context();
+    let campaign = spec.assemble(&ctx);
+    let run = campaign.run(&ctx.workload());
 
     // Identity: the campaign fingerprint is a pure function of the
-    // results (status, hops, evidence, stats), captured before any
-    // judgment — the seed-purity / worker-invariance tests pin it.
+    // results (status, hops, evidence, stats) — the seed-purity /
+    // worker-invariance tests pin it.
     let mut hasher = DefaultHasher::new();
-    for r in &outcome.results {
+    for r in &run.outcome.results {
         serde_json::to_string(r)
             .expect("results serialize")
             .hash(&mut hasher);
     }
-    let fingerprint = hasher.finish();
-
-    // Oracle scoring, exactly as the monitor derives it.
-    let oracle = ctx.sim.oracle();
-    let (mut complete, mut sound, mut compared) = (0usize, 0usize, 0usize);
-    for (&(dst, src), r) in workload.iter().zip(&outcome.results) {
-        if !r.complete() {
-            continue;
-        }
-        complete += 1;
-        let Some(truth) = oracle.true_as_path(dst, src) else {
-            continue;
-        };
-        compared += 1;
-        let mut measured: Vec<_> = r.addrs().filter_map(|a| oracle.true_as_of(a)).collect();
-        measured.dedup();
-        if measured.iter().all(|a| truth.contains(a)) {
-            sound += 1;
-        }
-    }
 
     // Hop-by-hop stitch-trace audit: the 0-unsound arbiter of the gate.
+    let auditor = Auditor::new(&ctx.sim, spec.engine.registry_only_ip2as);
     let mut summary = AuditSummary::default();
-    for r in &outcome.results {
+    for r in &run.outcome.results {
         summary.add(&auditor.audit(r));
     }
 
-    let attempted = workload.len();
-    let frac = |n: usize, d: usize| if d == 0 { 0.0 } else { n as f64 / d as f64 };
-    let coverage = frac(complete, attempted);
-    let accuracy = frac(sound, compared);
-    let watchdog = telemetry.watchdog_flags();
-    let derived: Vec<(String, f64)> = vec![
-        ("accuracy".into(), accuracy),
-        ("audit.as_unsound".into(), (compared - sound) as f64),
-        ("coverage".into(), coverage),
-        (
-            "probes.per_revtr".into(),
-            frac(probes.option_probes() as usize, attempted),
-        ),
-        ("requests".into(), attempted as f64),
-        ("watchdog.flagged".into(), watchdog.len() as f64),
-    ];
-    let snapshot = telemetry.metrics();
-    let journal = telemetry.journal_records();
-    let slo = mcfg.policy.evaluate(&SloInput {
-        snapshot: &snapshot,
-        requests: &journal,
-        derived: &derived,
-    });
-
+    let m = monitor::judge(&spec, &campaign, &run);
     ScenarioArm {
         harden,
-        requests: attempted as u64,
-        coverage,
-        accuracy,
-        probes_per_revtr: frac(probes.measurement_probes() as usize, attempted),
+        requests: run.requests() as u64,
+        coverage: run.judgment.coverage(),
+        accuracy: run.judgment.accuracy(),
+        probes_per_revtr: run.per_revtr(run.probes.measurement_probes()),
         unsound: summary.total_failures(),
-        alerts: slo.alerts().map(|v| v.rule.clone()).collect(),
-        fingerprint,
+        alerts: m.slo.alerts().map(|v| v.rule.clone()).collect(),
+        fingerprint: hasher.finish(),
+        metrics_fingerprint: m.metrics_fingerprint,
+        journal_fingerprint: m.journal_fingerprint,
     }
 }
 
 /// Run the conformance harness for a set of profiles at their default (or
 /// an overridden) severity.
 pub fn run(
-    scale_name: &str,
+    scale: Scale,
     seed: u64,
     profiles: &[ScenarioProfile],
     severity: Option<f64>,
 ) -> ScenarioReport {
-    let clean = arm(scale_name, seed, &ScenarioConfig::default(), false);
+    let clean = arm(scale, seed, &ScenarioConfig::default(), false);
     let profiles = profiles
         .iter()
         .map(|&p| {
@@ -405,35 +334,16 @@ pub fn run(
             ProfileReport {
                 profile: p,
                 severity: sev,
-                off: arm(scale_name, seed, &cfg, false),
-                on: arm(scale_name, seed, &cfg, true),
+                off: arm(scale, seed, &cfg, false),
+                on: arm(scale, seed, &cfg, true),
             }
         })
         .collect();
     ScenarioReport {
-        scale: scale_name.to_string(),
+        scale,
         seed,
         clean,
         profiles,
-    }
-}
-
-/// The monitor face of a profile (the must-fire gates go through this):
-/// the scenario campaign judged by the recalibrated SLO policy.
-pub fn monitored_profile(
-    scale_name: &str,
-    seed: u64,
-    profile: ScenarioProfile,
-    severity: Option<f64>,
-    harden: bool,
-) -> monitor::MonitorReport {
-    let sev = severity.unwrap_or_else(|| profile.default_severity());
-    let cfg = MonitorConfig::clean(scale_name)
-        .with_scenario(scale_name, ScenarioConfig::profile_at(profile, sev))
-        .with_harden(harden);
-    match scale_name {
-        "standard" => monitor::standard_seeded(seed, &cfg),
-        _ => monitor::smoke_seeded(seed, &cfg),
     }
 }
 
@@ -446,9 +356,9 @@ mod tests {
         // An all-zero severity config is the clean campaign: same
         // fingerprint, same probes, same audit — the scenario layer must
         // be a seed-pure no-op until dialled up.
-        let clean = arm("smoke", 1, &ScenarioConfig::default(), false);
+        let clean = arm(Scale::Smoke, 1, &ScenarioConfig::default(), false);
         let zero = arm(
-            "smoke",
+            Scale::Smoke,
             1,
             &ScenarioConfig::profile_at(ScenarioProfile::LyingRrResponders, 0.0),
             false,
@@ -467,8 +377,8 @@ mod tests {
         // and hence the fingerprint — may legitimately differ. What must
         // hold on a clean Internet: no coverage lost, nothing audited
         // unsound, and no runaway probe spend.
-        let stock = arm("smoke", 1, &ScenarioConfig::default(), false);
-        let hard = arm("smoke", 1, &ScenarioConfig::default(), true);
+        let stock = arm(Scale::Smoke, 1, &ScenarioConfig::default(), false);
+        let hard = arm(Scale::Smoke, 1, &ScenarioConfig::default(), true);
         assert!(
             hard.coverage >= stock.coverage,
             "hardening lost clean coverage: {} < {}",
@@ -486,8 +396,21 @@ mod tests {
     }
 
     #[test]
+    fn clean_arm_and_clean_monitor_agree() {
+        // Two harnesses, one run shape: the scenario harness's clean arm
+        // is the clean monitored campaign, so both must report the same
+        // coverage, accuracy and telemetry identity.
+        let a = arm(Scale::Smoke, 1, &ScenarioConfig::default(), false);
+        let m = monitor::run(&monitor::clean(Scale::Smoke, 1));
+        assert_eq!(a.coverage, m.value("coverage"));
+        assert_eq!(a.accuracy, m.value("accuracy"));
+        assert_eq!(a.metrics_fingerprint, m.metrics_fingerprint);
+        assert_eq!(a.journal_fingerprint, m.journal_fingerprint);
+    }
+
+    #[test]
     fn smoke_conformance_all_profiles() {
-        let r = run("smoke", 1, &ScenarioProfile::ALL, None);
+        let r = run(Scale::Smoke, 1, &ScenarioProfile::ALL, None);
         assert_eq!(r.clean.unsound, 0, "clean campaign audits unsound");
         assert!(r.pass(), "conformance gate failed:\n{}", r.render());
     }

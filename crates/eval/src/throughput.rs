@@ -15,7 +15,7 @@ use crate::render::Table;
 use revtr::{EngineConfig, LoopConfig};
 use revtr_netsim::Addr;
 use revtr_probing::{CacheStats, StopSetSnapshot};
-use revtr_vpselect::{Heuristics, IngressDb};
+use revtr_vpselect::IngressDb;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -66,12 +66,8 @@ pub struct ThroughputRun {
     /// Peak concurrently in-flight measurements (event loop admits the
     /// whole campaign up front; the threads engine holds one per worker).
     pub inflight_peak: usize,
-    /// Whether the run consulted the campaign stop sets.
-    pub stop_sets: bool,
-    /// Stop-set effectiveness counters (all-zero with the knob off).
-    /// Disjoint from [`ThroughputRun::cache`] by construction: stop-set
-    /// consults never touch the measurement cache (the counter-
-    /// reconciliation test pins it).
+    /// Stop-set effectiveness counters (all-zero: both engines run with
+    /// stop sets off).
     pub stopset: StopSetSnapshot,
 }
 
@@ -107,12 +103,9 @@ fn run_one(
     workload: &[(Addr, Addr)],
     engine: EngineMode,
     workers: usize,
-    stop_sets: bool,
 ) -> ThroughputRun {
     let prober = ctx.prober();
-    let mut cfg = EngineConfig::revtr2();
-    cfg.use_stop_sets = stop_sets;
-    let system = ctx.build_system(prober.clone(), cfg, ingress.clone());
+    let system = ctx.build_system(prober.clone(), EngineConfig::revtr2(), ingress.clone());
     for &(_, src) in workload {
         system.register_source(src);
     }
@@ -172,7 +165,6 @@ fn run_one(
         retries: d.retries,
         lost: d.lost,
         inflight_peak,
-        stop_sets,
         stopset: system.stopset().stats(),
     }
 }
@@ -187,36 +179,10 @@ pub fn run(
     let mut runs = Vec::new();
     for engine in [EngineMode::Threads, EngineMode::Events] {
         for &workers in &[1usize, 2, 4, 8] {
-            runs.push(run_one(ctx, ingress, workload, engine, workers, false));
+            runs.push(run_one(ctx, ingress, workload, engine, workers));
         }
     }
     ThroughputReport { runs }
-}
-
-/// The stop-sets-off/on probe-economy A/B: each arm gets a *fresh*,
-/// identically-seeded context (simulator, ingress DB, workload), so the
-/// only difference between the arms is the stop-set knob — shared
-/// virtual-time or route-cache state cannot tilt the comparison. The off
-/// arm is the control the ci.sh economy gate judges the on arm against.
-pub fn economy_pair(
-    make_ctx: impl Fn() -> EvalContext,
-    workers: usize,
-) -> (ThroughputRun, ThroughputRun) {
-    let arm = |stop_sets: bool| {
-        let ctx = make_ctx();
-        let prober = ctx.prober();
-        let ingress = Arc::new(ctx.build_ingress(&prober, Heuristics::FULL));
-        let workload = ctx.workload();
-        run_one(
-            &ctx,
-            &ingress,
-            &workload,
-            EngineMode::Events,
-            workers,
-            stop_sets,
-        )
-    };
-    (arm(false), arm(true))
 }
 
 /// The threads-vs-events A/B outcome: each arm's fastest run plus the
@@ -264,7 +230,7 @@ pub fn engine_ab(
         }
         let mut pair = [0.0f64; 2];
         for (slot, engine) in order {
-            let r = run_one(ctx, ingress, workload, engine, workers, false);
+            let r = run_one(ctx, ingress, workload, engine, workers);
             pair[slot] = r.wall_s;
             if best[slot].is_none_or(|b| r.wall_s < b.wall_s) {
                 best[slot] = Some(r);
@@ -387,7 +353,6 @@ mod tests {
                 EngineMode::Events => assert_eq!(r.inflight_peak, workload.len()),
             }
             // Stop sets are off in the default report: no consults at all.
-            assert!(!r.stop_sets);
             assert_eq!(r.stopset, StopSetSnapshot::default());
         }
         // Each run uses a fresh prober/cache; within a run the workload
@@ -395,37 +360,6 @@ mod tests {
         let last = report.runs.last().unwrap();
         assert!(last.cache.hits > 0, "cache ineffective: {:?}", last.cache);
         assert_eq!(report.table().len(), 8);
-    }
-
-    #[test]
-    fn stop_set_hits_do_not_double_count_cache_hits() {
-        // Counter reconciliation: a stop-set hit replaces a whole RR step,
-        // so it must NOT also appear as measurement-cache traffic — the
-        // two economies are attributed to disjoint counters. The on arm
-        // therefore shows (a) stop-set lookups where the off arm has
-        // none, and (b) *no more* cache lookups than the off arm (it
-        // skips probes, so it can only consult the cache less).
-        let (off, on) = economy_pair(EvalContext::smoke, 1);
-        assert!(!off.stop_sets && on.stop_sets);
-        assert_eq!(off.stopset, StopSetSnapshot::default());
-        assert!(
-            on.stopset.backward_lookups() > 0,
-            "on arm never consulted the backward set: {:?}",
-            on.stopset
-        );
-        let off_lookups = off.cache.hits + off.cache.misses;
-        let on_lookups = on.cache.hits + on.cache.misses;
-        assert!(
-            on_lookups <= off_lookups,
-            "stop-set consults leaked into cache stats: {on_lookups} > {off_lookups}"
-        );
-        // And the headline economy: reuse may only cut option probes.
-        assert!(
-            on.option_probes <= off.option_probes,
-            "stop sets increased probing: {} > {}",
-            on.option_probes,
-            off.option_probes
-        );
     }
 
     #[test]

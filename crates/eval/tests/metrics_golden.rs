@@ -8,7 +8,7 @@
 //! (and `--scale standard` for the TSVs under `standard42/`), then review
 //! the diff. See DESIGN.md §8 for the baseline-update procedure.
 
-use revtr_eval::{metrics, profile};
+use revtr_eval::{metrics, profile, Scale};
 use std::path::Path;
 
 fn golden_dir(name: &str) -> std::path::PathBuf {
@@ -32,7 +32,7 @@ fn assert_matches_golden(dir: &Path, name: &str, actual: &str) {
 
 #[test]
 fn smoke_seed42_exports_match_goldens_byte_for_byte() {
-    let report = metrics::smoke_seeded(42);
+    let report = metrics::run(Scale::Smoke, 42);
     let dir = golden_dir("smoke42");
     assert_matches_golden(&dir, "metrics_stages.tsv", &report.stage_table().to_tsv());
     assert_matches_golden(&dir, "metrics_cache.tsv", &report.cache_table().to_tsv());
@@ -51,7 +51,7 @@ fn smoke_seed42_exports_match_goldens_byte_for_byte() {
 #[test]
 #[ignore = "standard scale; run in release via ci.sh"]
 fn standard_seed42_exports_match_goldens() {
-    let report = metrics::standard_seeded(42);
+    let report = metrics::run(Scale::Standard, 42);
     let dir = golden_dir("standard42");
     assert_matches_golden(&dir, "metrics_stages.tsv", &report.stage_table().to_tsv());
     assert_matches_golden(&dir, "metrics_cache.tsv", &report.cache_table().to_tsv());
@@ -76,7 +76,7 @@ fn profile_smoke_seed42_report_matches_golden() {
     // committed seed-42 rendering pins the ledger set, the cost-stack
     // paths, and every byte reading at once. Regenerate with
     // `revtr-cli profile --scale smoke --seed 42 > crates/eval/tests/goldens/profile_smoke42.txt`.
-    let report = profile::run("smoke", 42);
+    let report = profile::run(Scale::Smoke, 42);
     assert_matches_golden(
         &golden_dir(""),
         "profile_smoke42.txt",
@@ -88,7 +88,7 @@ fn profile_smoke_seed42_report_matches_golden() {
 fn journal_jsonl_schema_is_stable() {
     // Guard the JSONL field set itself (column drift in the journal is
     // invisible to a TSV diff if no journal golden is read).
-    let report = metrics::smoke_seeded(42);
+    let report = metrics::run(Scale::Smoke, 42);
     let first = report.journal.first().expect("journal non-empty").to_json();
     for key in [
         "\"dst\":",

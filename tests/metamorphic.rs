@@ -948,8 +948,13 @@ fn degraded_open_loop_campaigns_are_dispatch_worker_invariant() {
     // workers {1, 4, 16} — and the degraded results must still audit
     // clean (zero AS-unsound paths) against the ground-truth oracle.
     use revtr_suite::eval::loadtest::{self, LoadtestConfig, Pattern};
+    use revtr_suite::eval::Scale;
     for seed in SEEDS {
-        let report = loadtest::smoke_seeded(seed, &LoadtestConfig::new(Pattern::FlashCrowd));
+        let report = loadtest::run(
+            Scale::Smoke,
+            seed,
+            &LoadtestConfig::new(Pattern::FlashCrowd),
+        );
         assert!(
             report.determinism_failures.is_empty(),
             "seed {seed}: {:?}",
@@ -985,8 +990,13 @@ fn flash_crowd_sheds_only_bronze_while_gold_holds_slo() {
     // recovered by end of run. `report.pass()` folds in the whole
     // judgment; the explicit asserts document what must fire.
     use revtr_suite::eval::loadtest::{self, LoadtestConfig, Pattern};
+    use revtr_suite::eval::Scale;
     for seed in SEEDS {
-        let report = loadtest::smoke_seeded(seed, &LoadtestConfig::new(Pattern::FlashCrowd));
+        let report = loadtest::run(
+            Scale::Smoke,
+            seed,
+            &LoadtestConfig::new(Pattern::FlashCrowd),
+        );
         assert!(report.pass(), "seed {seed}:\n{}", report.render());
         let class = |name: &str| {
             report.arms[0]
