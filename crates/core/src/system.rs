@@ -336,7 +336,6 @@ impl<'s> RevtrSystem<'s> {
         }
         let sim = self.sim;
         tele.resource_record("netsim.route_cache", ord, sim.route_cache_bytes());
-        tele.resource_record("netsim.border_cache", ord, sim.border_cache_bytes());
         tele.resource_record("netsim.fib", ord, sim.fib_bytes());
         let cache = self.prober.cache();
         tele.resource_record(

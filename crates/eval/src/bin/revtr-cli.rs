@@ -576,13 +576,13 @@ fn cmd_engine_ab(flags: &Flags) -> ExitCode {
     let spec = CampaignSpec::new(scale, seed.unwrap_or(1));
     let ctx = spec.context();
     let campaign = spec.assemble(&ctx);
-    // Tile the workload x4: at the base campaign's ~0.15 s wall a single
+    // Tile the workload x8: at the base campaign's ~0.08 s wall a single
     // scheduler hiccup on a shared CI host is a 30% swing, drowning the
     // engines' real gap; at ~0.6 s per arm the noise amortizes while the
     // cache/route counters keep the same shape (repeats hit the
     // measurement cache in both arms alike).
     let base = ctx.workload();
-    let workload: Vec<_> = base.iter().copied().cycle().take(base.len() * 4).collect();
+    let workload: Vec<_> = base.iter().copied().cycle().take(base.len() * 8).collect();
     let ab = throughput::engine_ab(&ctx, &campaign.ingress, &workload, workers);
     let report = throughput::ThroughputReport {
         runs: vec![ab.threads, ab.events],

@@ -102,7 +102,7 @@ pub struct ProfileReport {
     pub campaign_virtual_ms: f64,
     /// Measurement-cache shard statistics (traceroute + RR maps).
     pub shard_stats: Vec<ShardStats>,
-    /// Worst route/border-cache shard skew on the simulator side.
+    /// Route-cache shard skew on the simulator side.
     pub sim_cache_skew: f64,
     /// The `mem.total.hiwater` ceiling the monitor policy enforces.
     pub mem_ceiling: u64,
@@ -350,11 +350,7 @@ impl ProfileReport {
         let _ = writeln!(s, "{}", self.stack_table(ProfileMetric::VirtualUs).render());
         let _ = writeln!(s, "{}", self.headroom_table().render());
         let _ = writeln!(s, "{}", self.skew_table().render());
-        let _ = write!(
-            s,
-            "sim route/border cache worst shard skew: {:.2}",
-            self.sim_cache_skew
-        );
+        let _ = write!(s, "sim route cache shard skew: {:.2}", self.sim_cache_skew);
         s
     }
 

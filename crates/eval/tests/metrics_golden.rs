@@ -8,7 +8,8 @@
 //! (and `--scale standard` for the TSVs under `standard42/`), then review
 //! the diff. See DESIGN.md §8 for the baseline-update procedure.
 
-use revtr_eval::{metrics, profile, Scale};
+use revtr_eval::{metrics, profile, CampaignSpec, Scale};
+use revtr_vpselect::Heuristics;
 use std::path::Path;
 
 fn golden_dir(name: &str) -> std::path::PathBuf {
@@ -67,6 +68,35 @@ fn standard_seed42_exports_match_goldens() {
         ),
         "metrics 0xe72d9da6fd24178f journal 0xeb1efe2d61300455",
         "standard seed-42 campaign fingerprints drifted"
+    );
+}
+
+/// Fingerprint of the §4.3 ingress survey a campaign at `scale`/`seed`
+/// is assembled with.
+fn survey_fingerprint(scale: Scale, seed: u64) -> String {
+    let ctx = CampaignSpec::new(scale, seed).context();
+    let db = ctx.build_ingress(&ctx.prober(), Heuristics::FULL);
+    format!("{:#018x}", db.fingerprint())
+}
+
+#[test]
+fn smoke_seed1_ingress_survey_matches_golden() {
+    assert_eq!(
+        survey_fingerprint(Scale::Smoke, 1),
+        "0xde2d1c036836880d",
+        "smoke seed-1 IngressDb drifted"
+    );
+}
+
+/// The standard seed-42 survey (the one behind `standard42`): 900
+/// prefixes from every VP, so release-only like the campaign golden.
+#[test]
+#[ignore = "standard scale; run in release via ci.sh"]
+fn standard_seed42_ingress_survey_matches_golden() {
+    assert_eq!(
+        survey_fingerprint(Scale::Standard, 42),
+        "0x9796c2f7eb0c17e5",
+        "standard seed-42 IngressDb drifted"
     );
 }
 

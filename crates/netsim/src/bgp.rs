@@ -91,6 +91,77 @@ impl AsRoutes {
     }
 }
 
+/// Route candidates awaiting settlement, bucketed by metric (Dial's
+/// algorithm).
+///
+/// Edge weights are 1 or `1 + EDGE_PENALTY`, so every candidate at metric
+/// d is offered while an AS of a lower metric settles. Settling the
+/// buckets in metric order, each AS on its least `(tie, via)` candidate at
+/// its least metric, therefore settles exactly as a binary heap keyed by
+/// `(metric, tie, AS, via)` would, without the heap.
+struct Frontier {
+    /// Best candidate per AS: `(metric, tie, via)`; metric `u16::MAX` = none.
+    best: Vec<(u16, u64, u32)>,
+    /// At index d: the ASes whose best candidate dropped to metric d.
+    buckets: Vec<Vec<u32>>,
+    /// Bucket being settled and the position in it.
+    level: usize,
+    pos: usize,
+}
+
+impl Frontier {
+    fn new(n: usize) -> Frontier {
+        Frontier {
+            best: vec![(u16::MAX, 0, 0); n],
+            buckets: Vec::new(),
+            level: 0,
+            pos: 0,
+        }
+    }
+
+    /// Offer `x` a route of metric `d` via `via`. The tie-break is only
+    /// hashed when the metric can compete.
+    fn offer(&mut self, x: AsId, d: u16, tie: impl FnOnce() -> u64, via: AsId) {
+        let best = &mut self.best[x.index()];
+        if d > best.0 {
+            return;
+        }
+        let t = tie();
+        if d == best.0 && (t, via.0) >= (best.1, best.2) {
+            return;
+        }
+        if d < best.0 {
+            let level = usize::from(d);
+            debug_assert!(level >= self.level, "offer below the settled level");
+            if self.buckets.len() <= level {
+                self.buckets.resize_with(level + 1, Vec::new);
+            }
+            self.buckets[level].push(x.0);
+        }
+        *best = (d, t, via.0);
+    }
+
+    /// The next AS to settle, with its metric and chosen neighbor, in
+    /// metric order. Each offered AS is returned once, at its least
+    /// metric.
+    fn pop(&mut self) -> Option<(AsId, u16, AsId)> {
+        while let Some(bucket) = self.buckets.get(self.level) {
+            let Some(&x) = bucket.get(self.pos) else {
+                self.level += 1;
+                self.pos = 0;
+                continue;
+            };
+            self.pos += 1;
+            let (d, _, via) = self.best[x as usize];
+            // A copy left in a higher bucket after the AS improved is stale.
+            if usize::from(d) == self.level {
+                return Some((AsId(x), d, AsId(via)));
+            }
+        }
+        None
+    }
+}
+
 /// Compute valley-free routes from every AS toward `dst`.
 ///
 /// `salt` seeds the tie-break hash; different salts model different
@@ -127,26 +198,17 @@ pub fn routes_to(topo: &Topology, dst: AsId, salt: u64) -> AsRoutes {
 
     // Stage 1: customer routes, Dijkstra "uphill" from dst: an AS x obtains
     // a customer route via neighbor c (x's customer) if c is dst or c has a
-    // customer route. The heap settles each AS on its best (metric, tie)
+    // customer route. Each AS settles on its best (metric, tie, via)
     // candidate; edge penalties make the metric differ from hop count.
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    {
-        let mut heap: BinaryHeap<Reverse<(u16, u64, u32, u32)>> = BinaryHeap::new();
-        heap.push(Reverse((0, 0, dst.0, dst.0)));
-        while let Some(Reverse((d, _, x, via))) = heap.pop() {
-            let xi = x as usize;
-            if dist[xi] != u16::MAX {
-                continue;
-            }
-            dist[xi] = d;
-            class[xi] = RouteClass::Customer;
-            next[xi] = (via != x).then_some(AsId(via));
-            for (p, rel) in topo.as_neighbors(AsId(x)) {
-                if rel != Rel::Provider || dist[p.index()] != u16::MAX {
-                    continue;
-                }
-                heap.push(Reverse((d + weight(p, AsId(x)), tie(p, AsId(x)), p.0, x)));
+    let mut frontier = Frontier::new(n);
+    frontier.offer(dst, 0, || 0, dst);
+    while let Some((x, d, via)) = frontier.pop() {
+        dist[x.index()] = d;
+        class[x.index()] = RouteClass::Customer;
+        next[x.index()] = (via != x).then_some(via);
+        for (p, rel) in topo.as_neighbors(x) {
+            if rel == Rel::Provider && dist[p.index()] == u16::MAX {
+                frontier.offer(p, d + weight(p, x), || tie(p, x), x);
             }
         }
     }
@@ -190,9 +252,9 @@ pub fn routes_to(topo: &Topology, dst: AsId, salt: u64) -> AsRoutes {
         next[x] = Some(y);
     }
 
-    // Stage 3: provider routes, propagated downhill with a Dijkstra-style
+    // Stage 3: provider routes, propagated downhill with the same
     // expansion (initial distances vary).
-    let mut heap: BinaryHeap<Reverse<(u16, u64, u32, u32)>> = BinaryHeap::new();
+    let mut frontier = Frontier::new(n);
     // Seed: every AS that already has a route can export it to customers.
     for p in 0..n {
         if dist[p] == u16::MAX {
@@ -200,31 +262,20 @@ pub fn routes_to(topo: &Topology, dst: AsId, salt: u64) -> AsRoutes {
         }
         let pid = AsId(p as u32);
         for (c, rel) in topo.as_neighbors(pid) {
-            if rel != Rel::Customer {
-                continue;
+            // A customer that already has a route prefers it.
+            if rel == Rel::Customer && dist[c.index()] == u16::MAX {
+                frontier.offer(c, dist[p] + weight(c, pid), || tie(c, pid), pid);
             }
-            let ci = c.index();
-            if dist[ci] != u16::MAX {
-                continue; // customer already has a (preferred) route
-            }
-            heap.push(Reverse((dist[p] + weight(c, pid), tie(c, pid), c.0, pid.0)));
         }
     }
-    while let Some(Reverse((d, _, x, via))) = heap.pop() {
-        let xi = x as usize;
-        if dist[xi] != u16::MAX {
-            continue; // already settled (shorter or better-hashed)
-        }
-        dist[xi] = d;
-        class[xi] = RouteClass::Provider;
-        next[xi] = Some(AsId(via));
+    while let Some((x, d, via)) = frontier.pop() {
+        dist[x.index()] = d;
+        class[x.index()] = RouteClass::Provider;
+        next[x.index()] = Some(via);
         // x can now export this provider route to its own customers.
-        for (c, rel) in topo.as_neighbors(AsId(x)) {
-            if rel != Rel::Customer {
-                continue;
-            }
-            if dist[c.index()] == u16::MAX {
-                heap.push(Reverse((d + weight(c, AsId(x)), tie(c, AsId(x)), c.0, x)));
+        for (c, rel) in topo.as_neighbors(x) {
+            if rel == Rel::Customer && dist[c.index()] == u16::MAX {
+                frontier.offer(c, d + weight(c, x), || tie(c, x), x);
             }
         }
     }

@@ -2,7 +2,7 @@
 //! lock-striped map, and single-flight computation.
 //!
 //! Every parallel campaign worker used to funnel through a handful of
-//! global locks (`Sim`'s route/border caches, the measurement cache, the
+//! global locks (`Sim`'s route cache, the measurement cache, the
 //! virtual clock). This module provides the shared building blocks that
 //! de-serialize them:
 //!

@@ -4,9 +4,8 @@
 //! chords, from the generator). Tables are small (ASes have at most a few
 //! dozen routers) and precomputed once at `Sim::build` time.
 
-use crate::ids::{AsId, RouterId};
+use crate::ids::{AsId, LinkId, RouterId};
 use crate::topology::{LinkKind, Topology};
-use std::collections::HashMap;
 
 /// Sentinel for "unreachable" (never happens in generated topologies, whose
 /// intra graphs are connected, but kept for robustness).
@@ -17,27 +16,11 @@ pub const UNREACHABLE: u16 = u16::MAX;
 pub struct AsIgp {
     /// Router ids of this AS, in topology order.
     pub routers: Vec<RouterId>,
-    /// router id → local index.
-    index: HashMap<RouterId, usize>,
     /// Flattened `n × n` hop-count matrix, `dist[i*n + j]`.
     dist: Vec<u16>,
 }
 
 impl AsIgp {
-    /// Local index of a router, if it belongs to this AS.
-    #[inline]
-    pub fn local(&self, r: RouterId) -> Option<usize> {
-        self.index.get(&r).copied()
-    }
-
-    /// Hop distance between two routers of this AS.
-    pub fn dist(&self, a: RouterId, b: RouterId) -> u16 {
-        match (self.local(a), self.local(b)) {
-            (Some(i), Some(j)) => self.dist[i * self.routers.len() + j],
-            _ => UNREACHABLE,
-        }
-    }
-
     #[inline]
     fn dist_idx(&self, i: usize, j: usize) -> u16 {
         self.dist[i * self.routers.len() + j]
@@ -45,39 +28,48 @@ impl AsIgp {
 }
 
 /// IGP tables for every AS, indexed by [`AsId`].
+///
+/// Routers are located by one dense `router id → local index` array over
+/// the whole topology: a router's index is its position in its own AS's
+/// `routers`, so membership of a router in a given AS is checked by
+/// reading that position back.
 #[derive(Clone, Debug)]
 pub struct Igp {
     tables: Vec<AsIgp>,
+    /// Router id → index within its own AS's table.
+    local: Vec<u32>,
 }
 
 impl Igp {
     /// Compute IGP tables for the whole topology.
     pub fn build(topo: &Topology) -> Igp {
+        let mut local = vec![0u32; topo.routers.len()];
+        for a in &topo.ases {
+            for (i, &r) in a.routers.iter().enumerate() {
+                local[r.index()] = i as u32;
+            }
+        }
         let tables = topo
             .ases
             .iter()
-            .map(|a| Self::build_as(topo, a.id))
+            .map(|a| Self::build_as(topo, a.id, &local))
             .collect();
-        Igp { tables }
+        Igp { tables, local }
     }
 
-    fn build_as(topo: &Topology, asid: AsId) -> AsIgp {
+    fn build_as(topo: &Topology, asid: AsId, local: &[u32]) -> AsIgp {
         let routers = topo.asn(asid).routers.clone();
         let n = routers.len();
-        let index: HashMap<RouterId, usize> =
-            routers.iter().enumerate().map(|(i, &r)| (r, i)).collect();
 
         // Local adjacency over intra links only.
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, &r) in routers.iter().enumerate() {
             for &lid in &topo.router(r).links {
                 let l = topo.link(lid);
-                if let LinkKind::Intra(owner) = l.kind {
-                    if owner == asid {
-                        if let Some(&j) = index.get(&l.other(r)) {
-                            adj[i].push(j);
-                        }
-                    }
+                let other = l.other(r);
+                let j = local[other.index()] as usize;
+                if l.kind == LinkKind::Intra(asid) && routers.get(j) == Some(&other) {
+                    adj[i].push(j);
                 }
             }
         }
@@ -99,11 +91,7 @@ impl Igp {
                 }
             }
         }
-        AsIgp {
-            routers,
-            index,
-            dist,
-        }
+        AsIgp { routers, dist }
     }
 
     /// IGP table of an AS.
@@ -112,61 +100,75 @@ impl Igp {
         &self.tables[asid.index()]
     }
 
+    /// Local index of `r` in `t`, if `r` belongs to that AS.
+    #[inline]
+    fn local_in(&self, t: &AsIgp, r: RouterId) -> Option<usize> {
+        let i = *self.local.get(r.index())? as usize;
+        (t.routers.get(i) == Some(&r)).then_some(i)
+    }
+
     /// Logical byte footprint of all per-AS FIBs: router-id vectors, the
-    /// router→index maps, and the flattened hop-count matrices. A pure
-    /// function of the topology (tables are precomputed at build time).
+    /// dense router→index array, and the flattened hop-count matrices. A
+    /// pure function of the topology (tables are precomputed at build
+    /// time).
     pub fn approx_bytes(&self) -> u64 {
-        self.tables
+        let tables: usize = self
+            .tables
             .iter()
             .map(|t| {
                 t.routers.len() * std::mem::size_of::<RouterId>()
-                    + t.index.len()
-                        * (std::mem::size_of::<RouterId>() + std::mem::size_of::<usize>())
                     + t.dist.len() * std::mem::size_of::<u16>()
             })
-            .sum::<usize>() as u64
+            .sum();
+        (tables + self.local.len() * std::mem::size_of::<u32>()) as u64
     }
 
-    /// Hop distance between two routers of `asid`.
+    /// Hop distance between two routers of `asid`; [`UNREACHABLE`] when
+    /// either router belongs to another AS.
     #[inline]
     pub fn dist(&self, asid: AsId, a: RouterId, b: RouterId) -> u16 {
-        self.tables[asid.index()].dist(a, b)
+        let t = &self.tables[asid.index()];
+        match (self.local_in(t, a), self.local_in(t, b)) {
+            (Some(i), Some(j)) => t.dist_idx(i, j),
+            _ => UNREACHABLE,
+        }
     }
 
-    /// All intra-AS neighbor routers of `r` (with the connecting link) that
-    /// lie one hop closer to `target`, i.e. the equal-cost next-hop set.
-    /// Sorted for determinism. Empty if `r == target` or target unreachable.
-    pub fn next_hops_toward(
+    /// Append to `out` every intra-AS neighbor router of `r` (with the
+    /// connecting link) that lies one hop closer to `target`, i.e. the
+    /// equal-cost next-hop set, in (router, link) order. Appends nothing
+    /// if `r == target` or the target is unreachable.
+    pub fn next_hops_into(
         &self,
         topo: &Topology,
         r: RouterId,
         target: RouterId,
-    ) -> Vec<(crate::ids::LinkId, RouterId)> {
+        out: &mut Vec<(LinkId, RouterId)>,
+    ) {
         let asid = topo.router_as(r);
         debug_assert_eq!(asid, topo.router_as(target));
         let t = self.table(asid);
-        let (Some(i), Some(j)) = (t.local(r), t.local(target)) else {
-            return Vec::new();
+        let (Some(i), Some(j)) = (self.local_in(t, r), self.local_in(t, target)) else {
+            return;
         };
         let d = t.dist_idx(i, j);
         if d == 0 || d == UNREACHABLE {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
+        let start = out.len();
         for &lid in &topo.router(r).links {
             let l = topo.link(lid);
-            if !matches!(l.kind, LinkKind::Intra(owner) if owner == asid) {
+            if l.kind != LinkKind::Intra(asid) {
                 continue;
             }
             let n = l.other(r);
-            if let Some(k) = t.local(n) {
+            if let Some(k) = self.local_in(t, n) {
                 if t.dist_idx(k, j) + 1 == d {
                     out.push((lid, n));
                 }
             }
         }
-        out.sort_unstable_by_key(|&(lid, n)| (n, lid));
-        out
+        out[start..].sort_unstable_by_key(|&(lid, n)| (n, lid));
     }
 }
 
@@ -205,10 +207,12 @@ mod tests {
                 continue;
             }
             let target = a.routers[0];
+            let mut hops = Vec::new();
             for &r in &a.routers[1..] {
-                let hops = igp.next_hops_toward(&topo, r, target);
+                hops.clear();
+                igp.next_hops_into(&topo, r, target, &mut hops);
                 assert!(!hops.is_empty(), "no next hop from {r} to {target}");
-                for (_, n) in hops {
+                for &(_, n) in &hops {
                     assert_eq!(igp.dist(a.id, n, target) + 1, igp.dist(a.id, r, target));
                 }
             }
@@ -221,6 +225,54 @@ mod tests {
         let igp = Igp::build(&topo);
         let a = &topo.ases[0];
         let r = a.routers[0];
-        assert!(igp.next_hops_toward(&topo, r, r).is_empty());
+        let mut hops = Vec::new();
+        igp.next_hops_into(&topo, r, r, &mut hops);
+        assert!(hops.is_empty());
+    }
+
+    #[test]
+    fn dist_is_unreachable_for_a_router_of_another_as() {
+        let topo = generate(&SimConfig::tiny(), 11);
+        let igp = Igp::build(&topo);
+        let a = &topo.ases[0];
+        let b = &topo.ases[1];
+        let (ra, rb) = (a.routers[0], b.routers[0]);
+        assert_eq!(igp.dist(a.id, ra, rb), UNREACHABLE);
+        assert_eq!(igp.dist(a.id, rb, ra), UNREACHABLE);
+        assert_eq!(igp.dist(a.id, rb, rb), UNREACHABLE);
+        assert_eq!(igp.dist(b.id, rb, rb), 0);
+    }
+
+    #[test]
+    fn next_hop_sets_match_golden() {
+        // Every (router, target) pair of every AS on tiny seed 11, in
+        // (router, link) order. Recorded from the hash-map index.
+        let topo = generate(&SimConfig::tiny(), 11);
+        let igp = Igp::build(&topo);
+        let mut h = revtr_telemetry::Fnv::new();
+        let mut pairs = 0u64;
+        let mut hops = Vec::new();
+        for a in &topo.ases {
+            for &r in &a.routers {
+                for &target in &a.routers {
+                    // The buffer is appended to, never cleared by the
+                    // callee: the set is what follows the old length.
+                    let before = hops.len();
+                    igp.next_hops_into(&topo, r, target, &mut hops);
+                    let set = &hops[before..];
+                    h.write_u64(set.len() as u64);
+                    for &(l, n) in set {
+                        h.write_u64(u64::from(l.0));
+                        h.write_u64(u64::from(n.0));
+                    }
+                    pairs += 1;
+                }
+            }
+        }
+        assert_eq!(
+            (pairs, format!("{:#018x}", h.finish())),
+            (414, "0x677e1e77f07f5877".to_string()),
+            "IGP next-hop sets drifted on tiny seed 11"
+        );
     }
 }

@@ -119,9 +119,6 @@ pub struct Walk {
     pub latency_ms: f64,
 }
 
-/// Cache of border-router lists per (AS, next-AS) pair.
-type BorderCache = StripedMap<(u32, u32), Arc<Vec<RouterId>>>;
-
 /// Mutable routing-epoch state (route churn).
 #[derive(Debug)]
 struct ChurnState {
@@ -147,8 +144,6 @@ pub struct Sim {
     /// (dst AS, salt) → routes. Lock-striped; fills are single-flight so
     /// concurrent workers never duplicate a valley-free BFS.
     route_cache: StripedMap<(u32, u64), Arc<AsRoutes>>,
-    /// (AS, next AS) → border routers. Immutable once computed.
-    border_cache: BorderCache,
     /// Number of actual `bgp::routes_to` computations (cache fills).
     route_computes: AtomicU64,
     /// addr → link, for interdomain /30 "via" resolution.
@@ -195,7 +190,6 @@ impl Sim {
                 steps: 0,
             }),
             route_cache: StripedMap::new(),
-            border_cache: StripedMap::new(),
             route_computes: AtomicU64::new(0),
             addr_to_link,
             vp_hosts,
@@ -350,34 +344,15 @@ impl Sim {
         self.route_cache.len() as u64 * per as u64
     }
 
-    /// Logical byte footprint of the border-router cache. Border lists
-    /// hold one AS's routers toward one neighbor — priced at a fixed
-    /// four-router bound matching the generator's border fan-out.
-    pub fn border_cache_bytes(&self) -> u64 {
-        const BORDER_LIST_BOUND: usize = 4;
-        let per =
-            std::mem::size_of::<(u32, u32)>() + BORDER_LIST_BOUND * std::mem::size_of::<RouterId>();
-        self.border_cache.len() as u64 * per as u64
-    }
-
     /// Logical byte footprint of the precomputed per-AS IGP FIBs.
     pub fn fib_bytes(&self) -> u64 {
         self.igp.approx_bytes()
     }
 
-    /// Worst `max/mean` shard skew across the route and border caches
-    /// (0.0 while both are empty), for `revtr-cli profile`.
+    /// `max/mean` shard skew of the route cache (0.0 while it is empty),
+    /// for `revtr-cli profile`.
     pub fn cache_shard_skew(&self) -> f64 {
-        self.route_cache
-            .shard_skew()
-            .max(self.border_cache.shard_skew())
-    }
-
-    /// Border routers of `asn` with links toward `next_as`, cached.
-    pub fn borders(&self, asn: AsId, next_as: AsId) -> Arc<Vec<RouterId>> {
-        self.border_cache.get_or_compute((asn.0, next_as.0), || {
-            Arc::new(self.topo.border_routers_toward(asn, next_as))
-        })
+        self.route_cache.shard_skew()
     }
 
     // ---- destinations -----------------------------------------------------
@@ -553,10 +528,12 @@ impl Sim {
             None
         };
 
-        let mut hops: Vec<Hop> = Vec::new();
+        let mut hops: Vec<Hop> = Vec::with_capacity(16);
         let mut latency = 0.0;
         let mut cur = start;
         let mut in_link: Option<LinkId> = None;
+        // Equal-cost candidates of the current hop, reused across hops.
+        let mut cands: Vec<(LinkId, RouterId)> = Vec::new();
 
         for _ in 0..MAX_HOPS {
             let cur_as = self.topo.router_as(cur);
@@ -599,9 +576,11 @@ impl Sim {
             }
 
             // Determine the next link.
+            cands.clear();
             let next_link: LinkId = if cur_as == target_as {
                 // Intradomain leg toward the final router.
-                let cands = self.igp.next_hops_toward(&self.topo, cur, final_router);
+                self.igp
+                    .next_hops_into(&self.topo, cur, final_router, &mut cands);
                 if cands.is_empty() {
                     return None; // disconnected intra graph (shouldn't happen)
                 }
@@ -610,38 +589,32 @@ impl Sim {
             } else {
                 let next_as = routes.next[cur_as.index()]?;
                 // Direct links from cur to next_as?
-                let direct: Vec<LinkId> = self
-                    .topo
-                    .asn(cur_as)
-                    .links_to(next_as)
-                    .iter()
-                    .copied()
-                    .filter(|&l| {
-                        let link = self.topo.link(l);
-                        link.a == cur || link.b == cur
-                    })
-                    .collect();
-                if !direct.is_empty() {
-                    let i = self.choose_idx(cur, direct.len(), dst_key, pid, meta);
-                    direct[i]
+                let links = self.topo.asn(cur_as).links_to(next_as);
+                let touches_cur = |l: &&LinkId| {
+                    let link = self.topo.link(**l);
+                    link.a == cur || link.b == cur
+                };
+                let n_direct = links.iter().filter(touches_cur).count();
+                if n_direct > 0 {
+                    let i = self.choose_idx(cur, n_direct, dst_key, pid, meta);
+                    *links
+                        .iter()
+                        .filter(touches_cur)
+                        .nth(i)
+                        .expect("index below the direct-link count")
                 } else {
                     // Hot potato: head for the nearest border toward next_as.
-                    let borders = self.borders(cur_as, next_as);
-                    if borders.is_empty() {
-                        return None;
-                    }
-                    let dmin = borders
-                        .iter()
-                        .map(|&b| self.igp.dist(cur_as, cur, b))
-                        .min()
-                        .expect("nonempty borders");
+                    let dmin = self
+                        .topo
+                        .border_routers(cur_as, next_as)
+                        .map(|b| self.igp.dist(cur_as, cur, b))
+                        .min()?;
                     if dmin == crate::igp::UNREACHABLE {
                         return None;
                     }
-                    let mut cands: Vec<(LinkId, RouterId)> = Vec::new();
-                    for &b in borders.iter() {
+                    for b in self.topo.border_routers(cur_as, next_as) {
                         if self.igp.dist(cur_as, cur, b) == dmin {
-                            cands.extend(self.igp.next_hops_toward(&self.topo, cur, b));
+                            self.igp.next_hops_into(&self.topo, cur, b, &mut cands);
                         }
                     }
                     cands.sort_unstable_by_key(|&(l, r)| (r, l));

@@ -350,24 +350,22 @@ impl Topology {
         self.ases.len()
     }
 
-    /// Border routers of `asn` that have at least one link to `other`.
-    pub fn border_routers_toward(&self, asn: AsId, other: AsId) -> Vec<RouterId> {
-        let mut out: Vec<RouterId> = self
-            .asn(asn)
-            .links_to(other)
-            .iter()
-            .map(|&l| {
-                let link = self.link(l);
-                if self.router_as(link.a) == asn {
-                    link.a
-                } else {
-                    link.b
-                }
-            })
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// Border routers of `asn` toward `other`: the `asn`-side end of each
+    /// link to `other`, in link order. A router with several such links
+    /// appears once per link.
+    pub(crate) fn border_routers(
+        &self,
+        asn: AsId,
+        other: AsId,
+    ) -> impl Iterator<Item = RouterId> + '_ {
+        self.asn(asn).links_to(other).iter().map(move |&l| {
+            let link = self.link(l);
+            if self.router_as(link.a) == asn {
+                link.a
+            } else {
+                link.b
+            }
+        })
     }
 }
 

@@ -14,7 +14,7 @@
 //! from the closest VP to that ingress, in batches of three (§4.3).
 
 use crate::parse::{path_view, Heuristics};
-use revtr_netsim::hash::mix3;
+use revtr_netsim::hash::{mix2, mix3};
 use revtr_netsim::{Addr, PrefixId};
 use revtr_probing::{Prober, TaskCtx};
 use std::collections::HashMap;
@@ -220,6 +220,46 @@ impl IngressDb {
     /// Iterate probed prefixes.
     pub fn prefixes(&self) -> impl Iterator<Item = (PrefixId, &PrefixInfo)> {
         self.per_prefix.iter().map(|(&p, i)| (p, i))
+    }
+
+    /// Digest of everything the survey learned, independent of hash-map
+    /// iteration order: prefixes in id order (destinations, views sorted
+    /// by VP, ingresses, fallback), then the global order. Two surveys
+    /// with equal fingerprints hand the engine the same plans.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = 0u64;
+        let mut put = |w: u64| h = mix2(h, w);
+        let mut prefixes: Vec<(&PrefixId, &PrefixInfo)> = self.per_prefix.iter().collect();
+        prefixes.sort_unstable_by_key(|(p, _)| **p);
+        for (p, info) in prefixes {
+            put(u64::from(p.0));
+            put(info.dests.len() as u64);
+            info.dests.iter().for_each(|d| put(u64::from(d.0)));
+            let mut views: Vec<(&Addr, &VpView)> = info.views.iter().collect();
+            views.sort_unstable_by_key(|(vp, _)| **vp);
+            put(views.len() as u64);
+            for (vp, view) in views {
+                put(u64::from(vp.0));
+                put(view.dest_dist.map_or(u64::MAX, f64::to_bits));
+                put(view.candidates.len() as u64);
+                for &(a, d) in &view.candidates {
+                    put(u64::from(a.0));
+                    put(d as u64);
+                }
+            }
+            put(info.ingresses.len() as u64);
+            for i in &info.ingresses {
+                put(u64::from(i.addr.0));
+                put(i.cover as u64);
+                put(i.ranked_vps.len() as u64);
+                i.ranked_vps.iter().for_each(|v| put(u64::from(v.0)));
+            }
+            put(info.fallback.len() as u64);
+            info.fallback.iter().for_each(|v| put(u64::from(v.0)));
+        }
+        put(self.global_order.len() as u64);
+        self.global_order.iter().for_each(|v| put(u64::from(v.0)));
+        h
     }
 }
 

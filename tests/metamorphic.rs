@@ -650,7 +650,7 @@ fn resource_profiling_is_identity_neutral_and_worker_invariant() {
             )
         };
 
-        // Warm the shared simulator's route/border caches once so every
+        // Warm the shared simulator's route cache once so every
         // compared arm reads the same saturated netsim ledgers.
         let _ = run(false, 1);
 
